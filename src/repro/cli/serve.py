@@ -1,4 +1,9 @@
-"""``predict`` and ``serve``: the compiled serving kernel, batch and HTTP."""
+"""``predict`` and ``serve``: the compiled serving kernel, batch and HTTP.
+
+Both ``serve MODEL.json`` and ``serve --stream TABLE`` run the one asyncio
+HTTP front end (:class:`~repro.serve.PredictionServer`; the stream mode's
+:class:`~repro.stream.StreamServer` adds ``POST /update``).
+"""
 
 from __future__ import annotations
 
@@ -54,6 +59,26 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_until_done(server, max_requests: int | None) -> None:
+    """Block until ``max_requests`` successful answers, or Ctrl-C."""
+    try:
+        while max_requests is None or server.served_requests < max_requests:
+            time.sleep(0.05)
+    except KeyboardInterrupt:
+        pass
+
+
+def _print_trace(tracer, dest: str | None) -> None:
+    if dest is None:
+        return
+    report = tracer.report()
+    if dest == "-":
+        print(format_trace(report))
+    else:
+        write_jsonl(report, dest)
+        print(f"trace written to {dest}")
+
+
 def _cmd_serve_stream(args: argparse.Namespace) -> int:
     """``serve --stream``: online-learning loop over a training table.
 
@@ -73,8 +98,6 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
         StreamServer,
         StreamService,
     )
-    from ..tree import build_reference_tree
-
     from .build import open_flat_table
 
     io = IOStats()
@@ -123,16 +146,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
             f"{config.staleness_slo_s:g}s; POST /update, /predict",
             flush=True,
         )
-        try:
-            while True:
-                if (
-                    args.max_requests is not None
-                    and server.served_requests >= args.max_requests
-                ):
-                    break
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
+        _serve_until_done(server, args.max_requests)
         service.drain()
         stats = service.stats()
     maintainer.close()
@@ -145,13 +159,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
         f"prediction request(s), p99 {latency['p99_ms']}ms, "
         f"staleness {stats['staleness_s']}s"
     )
-    if args.trace is not None:
-        report = tracer.report()
-        if args.trace == "-":
-            print(format_trace(report))
-        else:
-            write_jsonl(report, args.trace)
-            print(f"trace written to {args.trace}")
+    _print_trace(tracer, args.trace)
     return 0
 
 
@@ -174,25 +182,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = PredictionServer(
         registry, config, host=args.host, port=args.port, tracer=tracer
     )
-    server.start()
-    print(f"serving {args.tree} on {server.url}", flush=True)
-    print(
-        f"  batching: max {config.max_batch_size} rows / "
-        f"{config.max_delay_ms:g} ms delay, queue {config.queue_capacity} rows",
-        flush=True,
-    )
-    try:
-        while True:
-            if (
-                args.max_requests is not None
-                and server.served_requests >= args.max_requests
-            ):
-                break
-            time.sleep(0.05)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    with server:
+        print(f"serving {args.tree} on {server.url}", flush=True)
+        print(
+            f"  batching: max {config.max_batch_size} rows / "
+            f"{config.max_delay_ms:g} ms delay, queue "
+            f"{config.queue_capacity} rows",
+            flush=True,
+        )
+        _serve_until_done(server, args.max_requests)
     stats = server.batcher.stats()
     latency = stats["latency"]
     print(
@@ -201,13 +199,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"p99 {latency['p99_ms']}ms, {stats['timeouts']} timeouts, "
         f"{stats['rejected']} rejected)"
     )
-    if args.trace is not None:
-        report = tracer.report()
-        if args.trace == "-":
-            print(format_trace(report))
-        else:
-            write_jsonl(report, args.trace)
-            print(f"trace written to {args.trace}")
+    _print_trace(tracer, args.trace)
     return 0
 
 

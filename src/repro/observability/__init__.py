@@ -7,11 +7,11 @@ the scan-count invariants the test suite enforces on top of it.
 
 from .export import (
     format_trace,
-    latency_summary,
     read_jsonl,
     trace_lines,
     write_jsonl,
 )
+from .histogram import LatencyHistogram
 from .tracer import (
     COUNTER_FIELDS,
     NULL_TRACER,
@@ -25,6 +25,7 @@ from .tracer import (
 
 __all__ = [
     "COUNTER_FIELDS",
+    "LatencyHistogram",
     "NULL_TRACER",
     "TRACE_SCHEMA_VERSION",
     "NullTracer",
@@ -33,7 +34,6 @@ __all__ = [
     "Tracer",
     "ensure_tracer",
     "format_trace",
-    "latency_summary",
     "read_jsonl",
     "trace_lines",
     "write_jsonl",

@@ -86,30 +86,6 @@ def read_jsonl(source: str | os.PathLike | IO[str]) -> TraceReport:
     return TraceReport(roots)
 
 
-def latency_summary(seconds: list[float] | tuple[float, ...]) -> dict:
-    """Percentile summary of a latency sample, in milliseconds.
-
-    The shared shape for serving statistics: the request batcher's
-    :meth:`~repro.serve.RequestBatcher.stats`, the HTTP ``/stats``
-    endpoint, and the ``bench_serving`` rows in ``bench_results.jsonl``
-    all report this dict, so latency numbers are comparable across the
-    stack.  Empty samples yield zeros rather than NaNs.
-    """
-    if not seconds:
-        return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
-                "max_ms": 0.0}
-    import numpy as np
-
-    ms = np.asarray(seconds, dtype=np.float64) * 1000.0
-    return {
-        "count": int(ms.size),
-        "mean_ms": round(float(ms.mean()), 3),
-        "p50_ms": round(float(np.percentile(ms, 50)), 3),
-        "p99_ms": round(float(np.percentile(ms, 99)), 3),
-        "max_ms": round(float(ms.max()), 3),
-    }
-
-
 def format_trace(report: TraceReport, include_timing: bool = True) -> str:
     """Human-readable indented tree, one line per span."""
     lines: list[str] = []

@@ -14,7 +14,9 @@ while the maintainer keeps it exact under updates.  Three pieces:
 * :class:`RequestBatcher` / :class:`PredictionServer` — queue +
   max-batch/max-delay coalescing with backpressure and per-request
   timeouts (:class:`~repro.exceptions.ServeError`), optionally fronted
-  by a stdlib HTTP server (``repro serve``).
+  by the one stdlib asyncio HTTP server (``repro serve``; the streaming
+  :class:`~repro.stream.StreamServer` is the same server plus
+  ``POST /update``).
 
 See ``docs/SERVING.md`` for the architecture and the guarantees the
 test suites enforce.

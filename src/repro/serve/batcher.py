@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ServeError
-from ..observability import NULL_TRACER, NullTracer, Tracer, latency_summary
+from ..observability import NULL_TRACER, LatencyHistogram, NullTracer, Tracer
 from .registry import ModelRegistry
 
 
@@ -140,7 +140,7 @@ class RequestBatcher:
         self._closed = False
         self._thread: threading.Thread | None = None
         # statistics (dispatcher-thread writes, stats() snapshots)
-        self._latencies: list[float] = []
+        self._latency = LatencyHistogram()
         self._n_requests = 0
         self._n_rows = 0
         self._n_batches = 0
@@ -242,7 +242,7 @@ class RequestBatcher:
             "rejected": self._n_rejected,
             "queued_rows": self._queued_rows,
             "model_version": self.registry.version,
-            "latency": latency_summary(list(self._latencies)),
+            "latency": self._latency.summary(),
         }
 
     # -- dispatcher side ---------------------------------------------------------
@@ -337,7 +337,7 @@ class RequestBatcher:
                 ticket._resolve(model.predictor.leaf_label[leaf[offset:end]],
                                 model.version)
             offset = end
-            self._latencies.append(finished - ticket.enqueued)
+            self._latency.record(finished - ticket.enqueued)
         self._n_requests += len(live)
         self._n_rows += len(rows)
         self._n_batches += 1

@@ -1,10 +1,19 @@
-"""A thin HTTP front end over the registry + batcher.
+"""The HTTP front end: one asyncio reactor over the registry + batcher.
 
-Stdlib-only (``http.server``): the serving story must work in the same
-no-extra-dependencies environment as the rest of the library.  Each
-handler thread parses JSON into a structured batch, submits it to the
-shared :class:`~repro.serve.RequestBatcher`, and blocks on its ticket —
-so HTTP concurrency feeds the coalescing batcher naturally.
+Stdlib-only (``asyncio.start_server``): the serving story must work in
+the same no-extra-dependencies environment as the rest of the library.
+A single-threaded reactor parses each request into a structured batch
+and submits it to the shared :class:`~repro.serve.RequestBatcher`; only
+the *wait* for the ticket leaves the event loop (``asyncio.to_thread``),
+so idle keep-alive connections are cheap coroutine state and the
+coalescing batcher still sees all the concurrency.  Every response —
+status line, headers and body — leaves in one transport write: a
+response split over two sends waits out the client's delayed ACK
+(~40 ms) on every keep-alive request.
+
+:class:`~repro.stream.StreamServer` is this same server plus the
+``POST /update`` route of the streaming service; in predict-only mode
+``/update`` answers 404.
 
 Endpoints:
 
@@ -26,17 +35,26 @@ Endpoints:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from ..exceptions import ReproError, SchemaError, ServeError
+from ..exceptions import ReproError, ServeError
 from ..observability import NullTracer, Tracer
 from ..storage import CLASS_COLUMN, Schema
 from .batcher import RequestBatcher, ServeConfig
 from .registry import ModelRegistry
+
+_MAX_BODY = 64 << 20  # one very generous bound; requests are micro-batches
+
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
+}
 
 
 def _record_value(record: dict, i: int, name: str):
@@ -115,69 +133,17 @@ def _checked_label(schema: Schema, i: int, value) -> int:
     return label
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request handler; the server instance carries the serving state."""
-
-    protocol_version = "HTTP/1.1"
-    server: "_Server"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep the serving path quiet; stats live in /stats
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        front = self.server.front
-        if self.path == "/healthz":
-            version = front.registry.version
-            if version == 0:
-                self._send_json(503, {"status": "empty", "version": 0})
-            else:
-                self._send_json(200, {"status": "ok", "version": version})
-        elif self.path == "/stats":
-            self._send_json(200, front.batcher.stats())
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        front = self.server.front
-        if self.path != "/predict":
-            self._send_json(404, {"error": f"no such path: {self.path}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            try:
-                payload = json.loads(self.rfile.read(length) or b"{}")
-            except json.JSONDecodeError as exc:
-                raise ServeError(f"request body is not valid JSON: {exc}")
-            if not isinstance(payload, dict) or "records" not in payload:
-                raise ServeError("request body needs a 'records' array")
-            batch = records_to_batch(front.schema, payload["records"])
-            proba = bool(payload.get("proba", False))
-            ticket = front.batcher.submit(batch, proba=proba)
-            result = ticket.result()
-            front.count_request()
-            response: dict = {"version": ticket.version, "rows": len(batch)}
-            if proba:
-                response["proba"] = [list(row) for row in result]
-            else:
-                response["labels"] = [int(v) for v in result]
-            self._send_json(200, response)
-        except ServeError as exc:
-            self._send_json(exc.http_status, {"error": str(exc)})
-        except (SchemaError, ReproError) as exc:
-            self._send_json(400, {"error": str(exc)})
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    front: "PredictionServer"
+def _response(status: int, payload: dict, keep_alive: bool) -> bytes:
+    """One whole HTTP/1.1 response, head and body, for a single write."""
+    body = json.dumps(payload).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    ).encode("latin-1")
+    return head + body
 
 
 class PredictionServer:
@@ -190,8 +156,13 @@ class PredictionServer:
         with PredictionServer(registry, port=0) as server:
             print(server.url)                    # http://127.0.0.1:<port>
 
-    ``port=0`` binds an ephemeral port (``server.port`` has the real one).
+    The reactor runs on a dedicated thread so the caller keeps a normal
+    synchronous lifecycle; ``port=0`` binds an ephemeral port
+    (``server.port`` has the real one).
     """
+
+    #: The error type raised for this server's own lifecycle failures.
+    _error = ServeError
 
     def __init__(
         self,
@@ -201,14 +172,29 @@ class PredictionServer:
         port: int = 0,
         tracer: Tracer | NullTracer | None = None,
     ):
+        batcher = RequestBatcher(registry, config, tracer)
+        self._bind(registry, batcher, host, port)
+
+    def _bind(self, registry, batcher, host: str, port: int) -> None:
         self.registry = registry
-        self.batcher = RequestBatcher(registry, config, tracer)
+        self.batcher = batcher
         self._host = host
         self._requested_port = port
-        self._httpd: _Server | None = None
+        self._port: int | None = None
         self._thread: threading.Thread | None = None
+        self._aio_loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._ready = threading.Event()
+        self._startup_error: BaseException | None = None
+        self._connections: dict = {}  # handler task -> its writer
         self._served = 0
-        self._served_lock = threading.Lock()
+        self._routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/stats"): self._stats,
+            ("POST", "/predict"): self._predict,
+        }
+
+    # -- lifecycle ------------------------------------------------------------
 
     @property
     def schema(self) -> Schema:
@@ -216,9 +202,9 @@ class PredictionServer:
 
     @property
     def port(self) -> int:
-        if self._httpd is None:
-            raise ServeError("server is not running", http_status=503)
-        return self._httpd.server_address[1]
+        if self._port is None:
+            raise self._error("server is not running", http_status=503)
+        return self._port
 
     @property
     def url(self) -> str:
@@ -226,35 +212,38 @@ class PredictionServer:
 
     @property
     def served_requests(self) -> int:
-        """Successfully answered /predict requests so far."""
+        """Successful /predict (and, streaming, /update) answers so far."""
         return self._served
 
-    def count_request(self) -> None:
-        with self._served_lock:
-            self._served += 1
-
     def start(self) -> "PredictionServer":
-        self.registry.current()  # fail fast when nothing is published
-        self.batcher.start()
-        self._httpd = _Server((self._host, self._requested_port), _Handler)
-        self._httpd.front = self
+        if self._thread is not None:
+            raise self._error("server is already started")
+        self._start_backend()
+        self._ready.clear()
+        self._startup_error = None
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
+            target=self._run_reactor, name="repro-serve-http", daemon=True
         )
         self._thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            self._thread.join()
+            self._thread = None
+            self._stop_backend()
+            raise self._error(
+                f"server failed to start: {self._startup_error}",
+                http_status=503,
+            )
         return self
 
     def close(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
         if self._thread is not None:
+            self._aio_loop.call_soon_threadsafe(self._stop.set)
             self._thread.join()
             self._thread = None
-        self.batcher.close()
+            self._aio_loop = None
+            self._port = None
+        self._stop_backend()
 
     def __enter__(self) -> "PredictionServer":
         return self.start()
@@ -262,3 +251,134 @@ class PredictionServer:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+    def _start_backend(self) -> None:
+        self.registry.current()  # fail fast when nothing is published
+        self.batcher.start()
+
+    def _stop_backend(self) -> None:
+        self.batcher.close()
+
+    def _run_reactor(self) -> None:
+        try:
+            asyncio.run(self._serve())
+        except BaseException as exc:  # noqa: BLE001 - surfaced to start()
+            self._startup_error = exc
+            self._ready.set()
+
+    async def _serve(self) -> None:
+        self._aio_loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        server = await asyncio.start_server(
+            self._handle_connection, self._host, self._requested_port
+        )
+        self._port = server.sockets[0].getsockname()[1]
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            server.close()
+            for writer in self._connections.values():
+                writer.close()  # ends idle keep-alive reads with EOF
+            await asyncio.gather(*self._connections, return_exceptions=True)
+            await server.wait_closed()
+
+    # -- one connection -------------------------------------------------------
+
+    async def _handle_connection(self, reader, writer) -> None:
+        self._connections[asyncio.current_task()] = writer
+        try:
+            while True:
+                request = await self._read_request(reader, writer)
+                if request is None:
+                    break
+                method, path, keep_alive, body = request
+                status, payload = await self._dispatch(method, path, body)
+                writer.write(_response(status, payload, keep_alive))
+                await writer.drain()
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
+            pass  # client went away or sent garbage; nothing to answer
+        finally:
+            self._connections.pop(asyncio.current_task(), None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _read_request(self, reader, writer):
+        """``(method, path, keep_alive, body)``, or ``None`` to hang up."""
+        parts = (await reader.readline()).decode("latin-1").split()
+        if len(parts) < 2:
+            return None
+        method, path = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
+        headers: dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length") or 0)
+        if not 0 <= length <= _MAX_BODY:
+            return None
+        if length and headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = await reader.readexactly(length) if length else b""
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.1":
+            keep_alive = connection != "close"
+        else:
+            keep_alive = connection == "keep-alive"
+        return method, path, keep_alive, body
+
+    async def _dispatch(self, method, path, body) -> tuple[int, dict]:
+        route = self._routes.get((method, path))
+        if route is None:
+            return 404, {"error": f"no such endpoint: {method} {path}"}
+        try:
+            return await route(body)
+        except ReproError as exc:
+            # ServeError/StreamError carry their status; any other
+            # library error is a malformed request.
+            return getattr(exc, "http_status", 400), {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 - answered, not dropped
+            return 500, {"error": f"internal error: {exc!r}"}
+
+    # -- routes ---------------------------------------------------------------
+
+    @staticmethod
+    def _payload(body: bytes) -> dict:
+        try:
+            payload = json.loads(body or b"{}")
+        except json.JSONDecodeError as exc:
+            raise ServeError(f"request body is not valid JSON: {exc}")
+        if not isinstance(payload, dict) or "records" not in payload:
+            raise ServeError("request body needs a 'records' array")
+        return payload
+
+    async def _healthz(self, body: bytes) -> tuple[int, dict]:
+        version = self.registry.version
+        if version == 0:
+            return 503, {"status": "empty", "version": 0}
+        return 200, {"status": "ok", "version": version}
+
+    async def _stats(self, body: bytes) -> tuple[int, dict]:
+        return 200, self.batcher.stats()
+
+    async def _predict(self, body: bytes) -> tuple[int, dict]:
+        payload = self._payload(body)
+        batch = records_to_batch(self.schema, payload["records"])
+        proba = bool(payload.get("proba", False))
+        ticket = self.batcher.submit(batch, proba=proba)
+        result = await asyncio.to_thread(ticket.result)
+        self._served += 1
+        response: dict = {"version": ticket.version, "rows": len(batch)}
+        if proba:
+            response["proba"] = [list(row) for row in result]
+        else:
+            response["labels"] = [int(v) for v in result]
+        return 200, response

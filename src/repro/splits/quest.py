@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import chdtrc, fdtrc
 
 from ..config import SplitConfig
 from ..exceptions import SplitSelectionError
@@ -136,7 +136,7 @@ def anova_p_value(
     if ss_within <= 0.0:
         return 0.0 if ss_between > 0.0 else 1.0
     f_stat = (ss_between / df_between) / (ss_within / df_within)
-    return float(_scipy_stats.f.sf(f_stat, df_between, df_within))
+    return float(fdtrc(df_between, df_within, f_stat))
 
 
 def chi_square_p_value(contingency: np.ndarray) -> float:
@@ -153,7 +153,7 @@ def chi_square_p_value(contingency: np.ndarray) -> float:
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     chi2 = float((np.square(table - expected) / expected).sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    return float(_scipy_stats.chi2.sf(chi2, dof))
+    return float(chdtrc(dof, chi2))
 
 
 def select_attribute(stats: QuestSufficientStats) -> tuple[int, float]:

@@ -13,8 +13,8 @@ Closes the paper-§4 update→maintain→publish→serve loop as one service:
   :meth:`~repro.serve.ModelRegistry.follow` publication + ingest queue
   + maintenance loop + the serving-side
   :class:`~repro.serve.RequestBatcher`, with staleness/SLO stats;
-* :class:`StreamServer` — a stdlib-asyncio HTTP front end
-  (POST /update, POST /predict, GET /healthz, GET /stats).
+* :class:`StreamServer` — the asyncio :class:`~repro.serve.PredictionServer`
+  plus POST /update (POST /predict, GET /healthz, GET /stats).
 
 See ``docs/STREAMING.md`` for the architecture, the SLO definitions,
 and the guarantees the equivalence + soak harness enforces.

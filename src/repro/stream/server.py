@@ -1,17 +1,9 @@
-"""An asyncio HTTP front end over the streaming service.
+"""The streaming service over the one serving front end.
 
-The threaded stdlib :class:`~repro.serve.PredictionServer` burns one OS
-thread per in-flight request; under sustained mixed update+predict
-traffic that is the wrong shape.  :class:`StreamServer` replaces it for
-the streaming workload with a single-threaded asyncio reactor
-(``asyncio.start_server``, stdlib only): connections are cheap coroutine
-state, request handlers submit to the non-blocking ingest queue and
-request batcher, and only the *wait* for a ticket is pushed off the
-event loop (``asyncio.to_thread``), so thousands of idle keep-alive
-connections cost nothing and the coalescing batcher still sees all the
-concurrency.
-
-Endpoints:
+:class:`StreamServer` is the asyncio :class:`~repro.serve.PredictionServer`
+(same reactor, request parser, single-write responses and error
+mapping) bound to a :class:`StreamService`'s registry and batcher, plus
+what the online-learning loop adds:
 
 ``POST /update``
     Body ``{"op": "insert"|"delete", "records": [...]}`` where every
@@ -26,8 +18,8 @@ Endpoints:
     degraded.
 
 ``POST /predict``
-    Same contract as the threaded server (records without labels,
-    optional ``"proba"``), served through the shared batcher.
+    The predict-only server's contract (records without labels,
+    optional ``"proba"``), served through the service's batcher.
 
 ``GET /healthz``
     ``{"status": "ok", "version": n, "maintenance": "ok"|"degraded"}``
@@ -42,17 +34,13 @@ Endpoints:
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
 
-from ..exceptions import ReproError, SchemaError, ServeError, StreamError
-from ..serve.server import records_to_batch
+from ..exceptions import StreamError
+from ..serve.server import PredictionServer, records_to_batch
 from .service import StreamService
 
-_MAX_BODY = 64 << 20  # one very generous bound; requests are micro-batches
 
-
-class StreamServer:
+class StreamServer(PredictionServer):
     """Serves a :class:`StreamService` over asyncio HTTP/1.1.
 
     Usage::
@@ -61,9 +49,11 @@ class StreamServer:
             with StreamServer(service, port=0) as server:
                 print(server.url)          # http://127.0.0.1:<port>
 
-    The reactor runs on a dedicated thread so the caller keeps a normal
-    synchronous lifecycle; ``port=0`` binds an ephemeral port.
+    The service owns the batcher's lifecycle; the server only runs the
+    reactor.  ``served_requests`` counts /update and /predict answers.
     """
+
+    _error = StreamError
 
     def __init__(
         self,
@@ -72,202 +62,30 @@ class StreamServer:
         port: int = 0,
     ):
         self.service = service
-        self._host = host
-        self._requested_port = port
-        self._port: int | None = None
-        self._thread: threading.Thread | None = None
-        self._aio_loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._served = 0
+        self._bind(service.registry, service.batcher, host, port)
+        self._routes[("POST", "/update")] = self._update
 
-    # -- lifecycle ------------------------------------------------------------
+    def _start_backend(self) -> None:
+        pass
 
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise StreamError("stream server is not running", http_status=503)
-        return self._port
+    def _stop_backend(self) -> None:
+        pass
 
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}"
+    async def _healthz(self, body: bytes) -> tuple[int, dict]:
+        status, payload = await super()._healthz(body)
+        if status == 200:
+            degraded = self.service.loop.degraded
+            payload["maintenance"] = "degraded" if degraded else "ok"
+        return status, payload
 
-    @property
-    def served_requests(self) -> int:
-        """Successfully answered /update + /predict requests so far."""
-        return self._served
-
-    def start(self) -> "StreamServer":
-        if self._thread is not None:
-            raise StreamError("stream server is already started")
-        self._thread = threading.Thread(
-            target=self._run_reactor, name="repro-stream-http", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            self._thread = None
-            raise StreamError(
-                f"stream server failed to start: {self._startup_error}",
-                http_status=503,
-            )
-        return self
-
-    def close(self) -> None:
-        if self._thread is None:
-            return
-        loop, stop = self._aio_loop, self._stop
-        if loop is not None and stop is not None:
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join()
-        self._thread = None
-        self._aio_loop = None
-        self._port = None
-
-    def __enter__(self) -> "StreamServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    def _run_reactor(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._aio_loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
-        )
-        self._port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    # -- one connection -------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, path, headers, body = request
-                status, payload = await self._dispatch(method, path, body)
-                keep_alive = headers.get("connection", "keep-alive") != "close"
-                await self._write_response(writer, status, payload, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self, reader):
-        request_line = await reader.readline()
-        if not request_line:
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if not 0 <= length <= _MAX_BODY:
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    async def _write_response(
-        self, writer, status: int, payload: dict, keep_alive: bool
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
-
-    # -- dispatch -------------------------------------------------------------
-
-    async def _dispatch(self, method, path, body) -> tuple[int, dict]:
-        try:
-            if method == "GET" and path == "/healthz":
-                return self._healthz()
-            if method == "GET" and path == "/stats":
-                return 200, self.service.stats()
-            if method == "POST" and path == "/predict":
-                return await self._predict(body)
-            if method == "POST" and path == "/update":
-                return await self._update(body)
-            return 404, {"error": f"no such endpoint: {method} {path}"}
-        except (StreamError, ServeError) as exc:
-            return exc.http_status, {"error": str(exc)}
-        except (SchemaError, ReproError) as exc:
-            return 400, {"error": str(exc)}
-
-    def _healthz(self) -> tuple[int, dict]:
-        version = self.service.version
-        maintenance = "degraded" if self.service.loop.degraded else "ok"
-        if version == 0:
-            return 503, {"status": "empty", "version": 0}
-        return 200, {
-            "status": "ok", "version": version, "maintenance": maintenance
-        }
-
-    def _payload(self, body: bytes) -> dict:
-        try:
-            payload = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise StreamError(f"request body is not valid JSON: {exc}")
-        if not isinstance(payload, dict) or "records" not in payload:
-            raise StreamError("request body needs a 'records' array")
-        return payload
-
-    async def _predict(self, body: bytes) -> tuple[int, dict]:
-        payload = self._payload(body)
-        batch = records_to_batch(self.service.schema, payload["records"])
-        proba = bool(payload.get("proba", False))
-        ticket = self.service.submit_predict(batch, proba=proba)
-        result = await asyncio.to_thread(ticket.result)
-        self._served += 1
-        response: dict = {"version": ticket.version, "rows": len(batch)}
-        if proba:
-            response["proba"] = [list(row) for row in result]
-        else:
-            response["labels"] = [int(v) for v in result]
-        return 200, response
+    async def _stats(self, body: bytes) -> tuple[int, dict]:
+        return 200, self.service.stats()
 
     async def _update(self, body: bytes) -> tuple[int, dict]:
         payload = self._payload(body)
         operation = payload.get("op", "insert")
         batch = records_to_batch(
-            self.service.schema, payload["records"], require_label=True
+            self.schema, payload["records"], require_label=True
         )
         ticket = self.service.submit_update(operation, batch)
         if not payload.get("wait", False):
@@ -288,11 +106,3 @@ class StreamServer:
             "rebuilds": report.finalize.rebuilds,
             "drift": report.drift,
         }
-
-
-_REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
-}

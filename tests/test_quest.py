@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from repro.config import SplitConfig
@@ -61,6 +62,32 @@ class TestChiSquare:
 
     def test_degenerate_single_column(self):
         assert chi_square_p_value(np.array([[5, 0], [7, 0]])) == 1.0
+
+
+class TestPValueFunctions:
+    """``scipy.special`` survival functions, bit-equal to ``scipy.stats``.
+
+    The p-values call ``fdtrc``/``chdtrc`` directly so that ``import
+    repro`` does not pay for ``scipy.stats``; the distributions' ``sf``
+    wraps the same functions, so on the domain the call sites reach
+    (x >= 0, positive degrees of freedom) the results are identical.
+    """
+
+    STATISTICS = [0.0, 5e-324, 1e-12, 0.1, 0.5, 1.0, 2.5, 7.0, 30.0, 1e3,
+                  1e8, 1e300, np.inf]
+
+    @pytest.mark.parametrize("dfn", [1, 2, 3, 9, 63])
+    @pytest.mark.parametrize("dfd", [1, 2, 7, 150, 10**6])
+    def test_fdtrc_is_f_sf(self, dfn, dfd):
+        for x in self.STATISTICS:
+            ours = scipy_special.fdtrc(dfn, dfd, x)
+            assert ours == scipy_stats.f.sf(x, dfn, dfd), (dfn, dfd, x)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 12, 999])
+    def test_chdtrc_is_chi2_sf(self, dof):
+        for x in self.STATISTICS:
+            ours = scipy_special.chdtrc(dof, x)
+            assert ours == scipy_stats.chi2.sf(x, dof), (dof, x)
 
 
 class TestQdaBoundary:
