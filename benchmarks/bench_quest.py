@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench import RunResult, WorkloadSpec, scaled
 from repro.config import BoatConfig, SplitConfig
-from repro.core import quest_boat_build
+from repro.core import boat_build
 from repro.rainforest import build_quest_levelwise
 from repro.splits import QuestSplitSelection
 from repro.tree import trees_equivalent
@@ -39,7 +39,7 @@ def test_quest_boat_vs_levelwise(benchmark, function_id, workloads, collector):
 
     def once():
         io.reset()
-        boat = quest_boat_build(table, QuestSplitSelection(), SPLIT, BOAT)
+        boat = boat_build(table, QuestSplitSelection(), SPLIT, BOAT)
         holder["boat"] = boat
         holder["boat_scans"] = io.full_scans
         holder["boat_seconds"] = boat.report.wall_seconds
@@ -95,7 +95,7 @@ def test_quest_boat_matches_reference(benchmark, workloads):
     holder = {}
 
     def once():
-        holder["boat"] = quest_boat_build(table, QuestSplitSelection(), SPLIT, BOAT)
+        holder["boat"] = boat_build(table, QuestSplitSelection(), SPLIT, BOAT)
         family = table.read_all()
         holder["reference"] = build_reference_tree(
             family, table.schema, QuestSplitSelection(), SPLIT

@@ -60,6 +60,12 @@ def open_flat_table(path: str, io: IOStats, *, simulated_mbps: float = 0.0):
     return DiskTable.open(path, io, simulated_mbps=simulated_mbps)
 
 
+def _method(args: argparse.Namespace):
+    if args.method == "quest":
+        return QuestSplitSelection(kernels=args.kernel_backend)
+    return ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
+
+
 def _build_flat(
     args: argparse.Namespace,
     io: IOStats,
@@ -82,20 +88,7 @@ def _build_flat(
         table = DiskTable.open(
             args.table, io, simulated_mbps=args.simulate_io_mbps
         )
-    if args.method == "quest":
-        from ..core import quest_boat_build
-
-        # The QUEST driver is not phase-instrumented yet; one umbrella
-        # span still captures the run's totals.
-        with tracer.span("build", method="quest"):
-            result = quest_boat_build(
-                table,
-                QuestSplitSelection(kernels=args.kernel_backend),
-                split_config,
-                boat_config,
-            )
-        return result.tree
-    method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
+    method = _method(args)
     if args.resume is not None:
         from ..recovery import resume_build
 
@@ -134,21 +127,17 @@ def _build_sharded(
             table = ShardedTable.open(
                 scratch, io, simulated_mbps=args.simulate_io_mbps
             )
-        if args.method == "quest":
-            from ..core import quest_boat_build
+        method = _method(args)
+        if isinstance(method, QuestSplitSelection):
+            from ..core import boat_build
 
-            # QUEST reads the sharded table directly (the scan API is
-            # transport-free), so the coordinator is not involved.
-            with tracer.span("build", method="quest"):
-                result = quest_boat_build(
-                    table,
-                    QuestSplitSelection(kernels=args.kernel_backend),
-                    split_config,
-                    boat_config,
-                )
+            # The coordinator merges integer statistics only; QUEST reads
+            # the sharded table directly through its scan API.
+            result = boat_build(
+                table, method, split_config, boat_config, tracer=tracer
+            )
             print(f"quest build over {table.n_shards} shard(s) (direct scan)")
             return result.tree
-        method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
         if args.resume is not None:
             from ..shard import resume_sharded_build as entry
         else:
@@ -210,10 +199,7 @@ def _build_forest(
 ):
     from ..forest import forest_build
 
-    if args.method == "quest":
-        method = QuestSplitSelection(kernels=args.kernel_backend)
-    else:
-        method = ImpuritySplitSelection(args.method, kernels=args.kernel_backend)
+    method = _method(args)
     table = open_flat_table(
         args.table, io, simulated_mbps=args.simulate_io_mbps or 0.0
     )
@@ -287,10 +273,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         sql_pushdown=args.sql_pushdown,
     )
     tracer = Tracer(io) if args.trace is not None else NULL_TRACER
-    if args.method == "quest" and boat_config.checkpoint_dir is not None:
-        print("error: --checkpoint/--resume is not supported for the "
-              "QUEST driver", file=sys.stderr)
-        return 2
     if args.forest is not None:
         from ..forest import forest_to_json
 

@@ -26,7 +26,6 @@ from .finalize import (
 )
 from .crossval import CrossValidationResult, boat_cross_validate
 from .incremental import IncrementalBoat, UpdateReport
-from .quest_boat import QuestBoatReport, QuestBoatResult, quest_boat_build
 from .sql_pushdown import routing_expression, sql_pushdown_scan
 from .state import (
     BoatNode,
@@ -52,10 +51,7 @@ __all__ = [
     "FinalizeReport",
     "Finalizer",
     "IncrementalBoat",
-    "QuestBoatReport",
-    "QuestBoatResult",
     "UpdateReport",
-    "quest_boat_build",
     "SamplingReport",
     "SamplingResult",
     "NodeDelta",

@@ -39,12 +39,12 @@ from ..exceptions import ReproError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
-from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, Schema, Table, sample_table
 from ..tree import DecisionTree, build_reference_tree
 from .bootstrap import SamplingReport, sampling_phase
-from .cleanup import cleanup_scan
+from .cleanup import cleanup_scan, sql_source
 from .finalize import FinalizeReport, finalize_tree, prefetch_frontier_subtrees
+from .state import BoatMethod, reject_float_moments, require_boat_method
 from .workers import init_build_context
 
 
@@ -91,7 +91,7 @@ class BoatResult:
 def make_build_pool(
     sample: np.ndarray,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     split_config: SplitConfig,
     boat_config: BoatConfig,
     tracer: Tracer | NullTracer | None = None,
@@ -125,7 +125,7 @@ def _resolve_tracer(
 
 def boat_build(
     table: Table,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     split_config: SplitConfig | None = None,
     boat_config: BoatConfig | None = None,
     spill_dir: str | None = None,
@@ -136,8 +136,10 @@ def boat_build(
     Args:
         table: the training database D (its ``io_stats``, if any, is
             charged for every scan).
-        method: an impurity-based split selection method; the output tree
-            is identical to ``build_reference_tree(D, method)``.
+        method: an impurity-based split selection method, whose output
+            tree is identical to ``build_reference_tree(D, method)``, or
+            QUEST, whose tree matches it up to float summation order.
+            QUEST cannot be checkpointed or pushed down into SQL.
         split_config: stopping rules (part of the tree's identity).
         boat_config: BOAT knobs (sample size, bootstraps, buckets...) —
             affect speed and rebuild frequency, never the output.
@@ -148,6 +150,11 @@ def boat_build(
     """
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
+    require_boat_method(method)
+    if boat_config.checkpoint_dir:
+        reject_float_moments(method, "a checkpointed build")
+    if boat_config.sql_pushdown and sql_source(table) is not None:
+        reject_float_moments(method, "the SQL aggregation pushdown")
     rng = np.random.default_rng(boat_config.seed)
     io = table.io_stats
     tracer = _resolve_tracer(tracer, boat_config, io)

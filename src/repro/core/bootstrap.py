@@ -16,6 +16,11 @@ The intersection simultaneously routes D' down the skeleton to build, at
 every node, the adaptive discretizations for the Lemma 3.1 failure check
 (:mod:`repro.core.discretize`) — many buckets where the sample impurity
 profile flirts with the minimum, few elsewhere.
+
+QUEST (§5) runs the same bootstrap and intersection.  Its finalization
+recomputes the decision from sufficient statistics instead of bounding
+impurities, so QUEST nodes get no sample profiles, interval extension
+or bucket edges; their internal nodes accumulate per-class moments.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..parallel import WorkerPool, chunked
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split
-from ..splits.methods import ImpuritySplitSelection
 from ..splits.numeric import numeric_profile
+from ..splits.quest import QuestSplitSelection
 from ..storage import CLASS_COLUMN, IOStats, Schema
 from ..tree import DecisionTree, Node, tree_from_dict
 from .coarse import CoarseCategorical, CoarseNumeric
 from .discretize import build_discretization, interval_forced_edges
-from .state import BoatNode
+from .state import BoatMethod, BoatNode, require_boat_method
 from .workers import bootstrap_trees_task, init_build_context
 
 
@@ -66,7 +71,7 @@ class _SkeletonBuilder:
     def __init__(
         self,
         schema: Schema,
-        method: ImpuritySplitSelection,
+        method: BoatMethod,
         split_config: SplitConfig,
         boat_config: BoatConfig,
         table_size: int,
@@ -77,6 +82,7 @@ class _SkeletonBuilder:
     ):
         self._schema = schema
         self._method = method
+        self._quest = isinstance(method, QuestSplitSelection)
         self._split_config = split_config
         self._config = boat_config
         self._table_size = table_size
@@ -121,13 +127,16 @@ class _SkeletonBuilder:
                 estimated,
                 durable_dir=self._durable_dir,
             )
-        profiles, best_estimate = self._profiles(sample_family)
+        edges: dict[int, np.ndarray] = {}
+        if not self._quest:
+            profiles, best_estimate = self._profiles(sample_family)
+            if isinstance(criterion, CoarseNumeric):
+                criterion = self._extend_interval(
+                    criterion, profiles, best_estimate, sample_family
+                )
+            edges = self._edges(profiles, criterion, best_estimate)
         if isinstance(criterion, CoarseNumeric):
-            criterion = self._extend_interval(
-                criterion, profiles, best_estimate, sample_family
-            )
             self.report.interval_widths.append(criterion.high - criterion.low)
-        edges = self._edges(profiles, criterion, best_estimate)
         boat_node = BoatNode(
             self._allocate_id(),
             depth,
@@ -139,6 +148,7 @@ class _SkeletonBuilder:
             self._io_stats,
             estimated,
             durable_dir=self._durable_dir,
+            moments=self._quest,
         )
         go_left = self._route_mask(sample_family, criterion, nodes)
         boat_node.left = self.build(
@@ -311,7 +321,7 @@ class _SkeletonBuilder:
 def build_bootstrap_trees(
     sample: np.ndarray,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     split_config: SplitConfig,
     boat_config: BoatConfig,
     rng: np.random.Generator,
@@ -348,7 +358,7 @@ def build_bootstrap_trees(
 def sampling_phase(
     sample: np.ndarray,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     split_config: SplitConfig,
     boat_config: BoatConfig,
     table_size: int,
@@ -376,10 +386,7 @@ def sampling_phase(
             so node stores get deterministic, recoverable file names
             (see :func:`repro.core.state.durable_store_path`).
     """
-    if not isinstance(method, ImpuritySplitSelection):
-        raise SplitSelectionError(
-            "the impurity-mode sampling phase requires an ImpuritySplitSelection"
-        )
+    require_boat_method(method)
     if len(sample) == 0:
         raise SplitSelectionError("cannot run the sampling phase on an empty sample")
     with tracer.span(

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -62,18 +62,7 @@ from .state import BoatNode, apply_batch_delta, compute_batch_delta, stream_batc
 ProgressFn = Callable[[int], None]
 
 
-def scan_from(
-    table: Table, batch_rows: int, start_row: int, stop_row: int | None = None
-) -> Iterator[np.ndarray]:
-    """Scan ``table`` rows ``[start_row, stop_row)``, as cheaply as it allows.
-
-    Thin alias for :func:`repro.storage.bounded_scan`, kept because the
-    recovery and shard layers import the bounded scan from here.
-    """
-    yield from bounded_scan(table, batch_rows, start_row, stop_row)
-
-
-def _sql_source(table: Table):
+def sql_source(table: Table):
     """Unwrap retry/decorator layers down to a ``SqlTable``, if any."""
     from ..storage.sql import SqlTable
 
@@ -119,7 +108,7 @@ def cleanup_scan(
         if stop_row is not None:
             span.set(stop_row=stop_row)
         if sql_pushdown and start_row == 0 and stop_row is None:
-            source = _sql_source(table)
+            source = sql_source(table)
             if source is not None:
                 from .sql_pushdown import sql_pushdown_scan
 
@@ -131,7 +120,7 @@ def cleanup_scan(
         if pool is None or not pool.is_parallel:
             span.set(workers=1)
             rows_done = start_row
-            for batch in scan_from(table, batch_rows, start_row, stop_row):
+            for batch in bounded_scan(table, batch_rows, start_row, stop_row):
                 stream_batch(root, batch, schema, sign=1, kernels=kernels)
                 rows_done += len(batch)
                 if progress is not None:
@@ -226,7 +215,7 @@ def _parallel_scan(
 
     rows_done = start_row
     for deltas, n_rows in pool.imap(
-        route, scan_from(table, batch_rows, start_row, stop_row)
+        route, bounded_scan(table, batch_rows, start_row, stop_row)
     ):
         apply_batch_delta(deltas)
         rows_done += n_rows

@@ -15,6 +15,14 @@ After the cleanup scan, the skeleton is processed top-down (§3.3–§3.5):
    children; on failure, discard the subtree and rebuild it from its
    collected family.
 
+Only steps 2–3 depend on the split selection method.  For QUEST (§5) the
+decision is recomputed from the node's effective sufficient statistics
+(class counts, moments, contingency tables) and refuted when it is a
+leaf, picks another attribute or subset, puts the QDA threshold outside
+the confidence interval, or leaves a side under ``min_samples_leaf``.
+QUEST's moments are float sums accumulated batch by batch, so its tree
+equals the reference QUEST tree up to floating-point summation order.
+
 Tie-break bookkeeping mirrors the reference builder exactly: candidates
 are ranked by (impurity, attribute index, split value / subset order), so
 a competing candidate at an earlier rank triggers a rebuild even on exact
@@ -48,14 +56,20 @@ from ..kernels import DEFAULT_KERNELS
 from ..parallel import WorkerPool
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split_from_counts
-from ..splits.methods import ImpuritySplitSelection
 from ..splits.numeric import numeric_profile
+from ..splits.quest import QuestSplitSelection, QuestSufficientStats
 from ..storage import CLASS_COLUMN, Schema
 from ..tree import DecisionTree, Node, build_reference_tree, tree_from_dict
 from .bounds import admissible_bucket_mask, bucket_lower_bounds
-from .coarse import CoarseNumeric
+from .coarse import CoarseCategorical, CoarseNumeric
 from .discretize import interval_bucket_range, point_bucket_mask
-from .state import BoatNode, EffectiveStats, collect_family, effective_stats
+from .state import (
+    BoatMethod,
+    BoatNode,
+    EffectiveStats,
+    collect_family,
+    effective_stats,
+)
 from .workers import frontier_subtree_task
 
 #: Static rebuild strategy: collected family + depth -> finished subtree.
@@ -90,9 +104,9 @@ class Finalizer:
     def __init__(
         self,
         schema: Schema,
-        method: ImpuritySplitSelection,
+        method: BoatMethod,
         config: SplitConfig,
-        rebuild: RebuildFn,
+        rebuild: RebuildFn | None = None,
         keep_state: bool = False,
         skeleton_rebuild: SkeletonRebuildFn | None = None,
         id_counter: Iterator[int] | None = None,
@@ -100,10 +114,14 @@ class Finalizer:
     ):
         self._schema = schema
         self._method = method
-        self._impurity = method.impurity
+        self._quest = isinstance(method, QuestSplitSelection)
+        #: The method-specific step: node statistics -> split, leaf
+        #: (None) or a refutation reason (str).
+        self._decide = self._quest_decide if self._quest else self._impurity_decide
+        self._impurity = getattr(method, "impurity", None)
         self._kernels = getattr(method, "kernels", DEFAULT_KERNELS)
         self._config = config
-        self._rebuild = rebuild
+        self._rebuild = rebuild or reference_rebuild(schema, method, config)
         self._keep_state = keep_state
         self._skeleton_rebuild = skeleton_rebuild
         self._prefetch = prefetch or {}
@@ -155,27 +173,84 @@ class Finalizer:
             or (max_depth is not None and node.depth >= max_depth)
         ):
             return self._confirmed_leaf(node, counts)
-        outcome = self._exact_best(node, stats, counts)
-        if outcome is None:
-            return self._rebuild_subtree(
-                node, inherited, "categorical coarse subset refuted", is_root
-            )
-        final_split, threshold, is_leaf_decision = outcome
-        failure = self._verify(node, stats, counts, threshold, is_leaf_decision)
-        if failure is not None:
-            return self._rebuild_subtree(node, inherited, failure, is_root)
-        if is_leaf_decision:
+        decided = self._decide(node, stats, counts)
+        if isinstance(decided, str):
+            return self._rebuild_subtree(node, inherited, decided, is_root)
+        if decided is None:
             return self._confirmed_leaf(node, counts)
+        left_in, right_in = self._partition_for_children(node, stats, decided)
+        left_node, right_node = node.children()
+        if self._quest:
+            # QUEST's decision ignores side sizes; the reference builder
+            # refuses a split leaving a side under min_samples_leaf.
+            smallest = min(
+                left_node.n_tuples + len(left_in),
+                right_node.n_tuples + len(right_in),
+            )
+            if smallest < self._config.min_samples_leaf:
+                return self._rebuild_subtree(
+                    node, inherited, "QUEST split violates min_samples_leaf", is_root
+                )
         self.report.confirmed_splits += 1
         final = self._leaf(node.depth, counts)
-        left_in, right_in = self._partition_for_children(node, stats, final_split)
-        left_node, right_node = node.children()
         final.make_internal(
-            final_split,
+            decided,
             self._finalize(left_node, left_in),
             self._finalize(right_node, right_in),
         )
         return final
+
+    def _impurity_decide(
+        self, node: BoatNode, stats: EffectiveStats, counts: np.ndarray
+    ) -> NumericSplit | CategoricalSplit | str | None:
+        """The verified exact split, None for a leaf, or a refutation reason."""
+        outcome = self._exact_best(node, stats, counts)
+        if outcome is None:
+            return "categorical coarse subset refuted"
+        final_split, threshold, is_leaf_decision = outcome
+        failure = self._verify(node, stats, counts, threshold, is_leaf_decision)
+        if failure is not None:
+            return failure
+        return None if is_leaf_decision else final_split
+
+    def _quest_decide(
+        self, node: BoatNode, stats: EffectiveStats, counts: np.ndarray
+    ) -> NumericSplit | CategoricalSplit | str:
+        """QUEST's exact decision from the effective sufficient statistics.
+
+        Returns the split when the coarse criterion admits it, else a
+        refutation reason (a leaf decision refutes too: the reference
+        builder would stop here, which the rebuild reproduces).
+        """
+        schema = self._schema
+        quest_stats = QuestSufficientStats(
+            schema,
+            counts,
+            stats.moments[0],
+            stats.moments[1],
+            [
+                stats.cat_counts[i]
+                for i, attr in enumerate(schema.attributes)
+                if attr.is_categorical
+            ],
+        )
+        decision = self._method.decide_from_stats(quest_stats, self._config)
+        if decision is None:
+            return "exact QUEST decision is a leaf, coarse criterion splits"
+        split = decision.split
+        criterion = node.criterion
+        if split.attribute_index != criterion.attribute_index:
+            name = schema[split.attribute_index].name
+            return f"exact QUEST selection picked attribute {name}"
+        if isinstance(criterion, CoarseCategorical):
+            if split.subset != criterion.subset:
+                return "exact QUEST categorical subset differs"
+        elif not criterion.low <= split.value <= criterion.high:
+            return (
+                f"exact QDA threshold {split.value:g} outside confidence "
+                f"interval [{criterion.low:g}, {criterion.high:g}]"
+            )
+        return split
 
     # -- pieces ------------------------------------------------------------------
 
@@ -493,7 +568,7 @@ def _preorder(root: Node) -> Iterator[Node]:
 
 
 def reference_rebuild(
-    schema: Schema, method: ImpuritySplitSelection, config: SplitConfig
+    schema: Schema, method: BoatMethod, config: SplitConfig
 ) -> RebuildFn:
     """The default static rebuild strategy: the in-memory reference builder."""
 
@@ -511,7 +586,7 @@ def reference_rebuild(
 def prefetch_frontier_subtrees(
     root: BoatNode,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     config: SplitConfig,
     pool: WorkerPool | None,
 ) -> dict[int, Node]:
@@ -574,13 +649,17 @@ def prefetch_frontier_subtrees(
 def finalize_tree(
     root: BoatNode,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     config: SplitConfig,
     rebuild: RebuildFn | None = None,
     prefetch: dict[int, Node] | None = None,
 ) -> tuple[DecisionTree, FinalizeReport]:
-    """Run one static finalization pass over a populated skeleton."""
-    rebuild = rebuild or reference_rebuild(schema, method, config)
+    """Run one static finalization pass over a populated skeleton.
+
+    ``method`` is the split selection the skeleton was sampled with
+    (impurity-based or QUEST); ``rebuild`` defaults to the in-memory
+    reference builder.
+    """
     finalizer = Finalizer(schema, method, config, rebuild, prefetch=prefetch)
     tree = finalizer.run(root)
     tree.validate()

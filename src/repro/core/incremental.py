@@ -37,7 +37,7 @@ from ..storage import IOStats, Schema, Table
 from ..tree import DecisionTree
 from .bootstrap import sampling_phase
 from .finalize import FinalizeReport, Finalizer, config_at_depth
-from .state import BoatNode, collect_family, stream_batch
+from .state import BoatNode, collect_family, reject_float_moments, stream_batch
 
 
 @dataclass
@@ -66,6 +66,7 @@ class IncrementalBoat:
         io_stats: IOStats | None = None,
         tracer: Tracer | NullTracer | None = None,
     ):
+        reject_float_moments(method, "IncrementalBoat")
         self._schema = schema
         self._method = method
         self._split_config = split_config or SplitConfig()
@@ -244,7 +245,6 @@ class IncrementalBoat:
             self._schema,
             self._method,
             self._split_config,
-            rebuild=self._unused_static_rebuild,
             keep_state=True,
             skeleton_rebuild=self._grow_skeleton,
             id_counter=self._ids,
@@ -260,12 +260,6 @@ class IncrementalBoat:
         if finalizer.new_root is not None:
             self._skeleton = finalizer.new_root
         return finalizer.report
-
-    @staticmethod
-    def _unused_static_rebuild(family: np.ndarray, depth: int):  # pragma: no cover
-        raise TreeStructureError(
-            "incremental finalization must use the skeleton rebuild path"
-        )
 
     def add_listener(self, listener) -> None:
         """Register ``listener(tree)`` to run after every build/update.

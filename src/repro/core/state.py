@@ -8,7 +8,9 @@ between updates (§4):
 * per-categorical-attribute contingency matrices (exact categorical
   impurity evaluation and splitting-attribute verification),
 * per-numerical-attribute discretization bucket counts (stamp points for
-  the Lemma 3.1 check),
+  the Lemma 3.1 check) — impurity skeletons,
+* per-numerical-attribute per-class sums and sums of squares (QUEST's
+  sufficient statistics, §5) — QUEST skeletons,
 * for a numeric coarse criterion: exact class counts strictly below /
   above the confidence interval and the *held* tuples inside it,
 * for a frontier node: the collected family.
@@ -29,12 +31,44 @@ from typing import Iterator
 import numpy as np
 
 from ..config import BoatConfig
-from ..exceptions import StorageError
+from ..exceptions import SplitSelectionError, StorageError
 from ..kernels import DEFAULT_KERNELS, KernelBackend
 from ..storage import CLASS_COLUMN, IOStats, Schema, TupleStore
 from ..splits.categorical import category_class_counts
+from ..splits.methods import ImpuritySplitSelection
+from ..splits.quest import QuestSplitSelection
 from .coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
 from .discretize import bucket_index
+
+
+#: The split selection methods BOAT instantiates: impurity-based (§3)
+#: and QUEST (§5).
+BoatMethod = ImpuritySplitSelection | QuestSplitSelection
+
+
+def require_boat_method(method: object) -> None:
+    """Raise unless ``method`` is a split selection BOAT can run."""
+    if not isinstance(method, (ImpuritySplitSelection, QuestSplitSelection)):
+        raise SplitSelectionError(
+            "BOAT needs an ImpuritySplitSelection or a QuestSplitSelection, "
+            f"got {method!r}"
+        )
+
+
+def reject_float_moments(method: BoatMethod, where: str) -> None:
+    """Raise for QUEST on a path that needs integer node statistics.
+
+    QUEST's per-node moments are float sums: they cannot be retracted
+    exactly (incremental deletes), merged across shards in scan order,
+    checkpointed, or computed by the SQL aggregation pushdown without a
+    written float tolerance.  Those paths refuse QUEST up front, before
+    any scan or spill file.
+    """
+    if isinstance(method, QuestSplitSelection):
+        raise SplitSelectionError(
+            f"{where} does not support QUEST: its per-node moments are "
+            "float sums, and this path needs integer statistics"
+        )
 
 
 def durable_store_path(
@@ -70,6 +104,7 @@ class BoatNode:
         "cat_counts",
         "bucket_edges",
         "bucket_counts",
+        "moments",
         "estimated_family",
         "dirty",
         "cached_final",
@@ -89,6 +124,7 @@ class BoatNode:
         io_stats: IOStats | None = None,
         estimated_family: int = 0,
         durable_dir: str | None = None,
+        moments: bool = False,
     ):
         k = schema.n_classes
         self.node_id = node_id
@@ -123,6 +159,14 @@ class BoatNode:
             i: np.zeros((len(edges) + 1, k), dtype=np.int64)
             for i, edges in bucket_edges.items()
         }
+        #: QUEST internal nodes: (2, n_numeric, k) float64 per-class sums
+        #: (``[0]``) and sums of squares (``[1]``), numeric attributes in
+        #: schema order.
+        self.moments = (
+            np.zeros((2, len(schema.numerical_attributes), k))
+            if moments and criterion is not None
+            else None
+        )
         if isinstance(criterion, CoarseNumeric):
             self.below_counts = np.zeros(k, dtype=np.int64)
             self.above_counts = np.zeros(k, dtype=np.int64)
@@ -205,8 +249,7 @@ def stream_batch(
     """
     if batch.size == 0:
         return
-    node.dirty = True
-    _accumulate_counts(node, batch, schema, sign, kernels)
+    _add_counts(node, _count_deltas(node, batch, schema, kernels), sign)
     if node.criterion is None:
         if sign > 0:
             node.family_store.append(batch)
@@ -240,8 +283,8 @@ def _count_deltas(
     batch: np.ndarray,
     schema: Schema,
     kernels: KernelBackend = DEFAULT_KERNELS,
-) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Per-node count increments for a batch, computed without mutation."""
+) -> "NodeDelta":
+    """Per-node statistics increments for a batch, computed without mutation."""
     labels = batch[CLASS_COLUMN]
     k = schema.n_classes
     class_delta = kernels.class_histogram(labels, k)
@@ -257,22 +300,38 @@ def _count_deltas(
         bucket_deltas[index] = kernels.bucket_class_counts(
             edges, batch[schema[index].name], labels, k
         )
-    return class_delta, cat_deltas, bucket_deltas
+    moments = None if node.moments is None else _moments(batch, schema, kernels)
+    return NodeDelta(node, class_delta, cat_deltas, bucket_deltas, moments=moments)
 
 
-def _accumulate_counts(
-    node: BoatNode,
-    batch: np.ndarray,
-    schema: Schema,
-    sign: int,
-    kernels: KernelBackend = DEFAULT_KERNELS,
-) -> None:
-    class_delta, cat_deltas, bucket_deltas = _count_deltas(node, batch, schema, kernels)
-    node.class_counts += sign * class_delta
-    for index, delta in cat_deltas.items():
-        node.cat_counts[index] += sign * delta
-    for index, delta in bucket_deltas.items():
-        node.bucket_counts[index] += sign * delta
+def _moments(
+    batch: np.ndarray, schema: Schema, kernels: KernelBackend = DEFAULT_KERNELS
+) -> np.ndarray:
+    """(2, n_numeric, k) per-class sums and sums of squares of a batch."""
+    labels = batch[CLASS_COLUMN]
+    k = schema.n_classes
+    out = np.empty((2, len(schema.numerical_attributes), k))
+    for i, attr in enumerate(schema.numerical_attributes):
+        out[0, i], out[1, i] = kernels.quest_numeric_moments(
+            batch[attr.name], labels, k
+        )
+    return out
+
+
+def _add_counts(node: BoatNode, delta: "NodeDelta", sign: int = 1) -> None:
+    """Add (``sign=+1``) or retract (``sign=-1``) one delta's statistics.
+
+    Each statistic takes one ``+=`` per batch in scan order, which pins
+    the float summation order of QUEST's moments.
+    """
+    node.dirty = True
+    node.class_counts += sign * delta.class_counts
+    for index, matrix in delta.cat_counts.items():
+        node.cat_counts[index] += sign * matrix
+    for index, matrix in delta.bucket_counts.items():
+        node.bucket_counts[index] += sign * matrix
+    if delta.moments is not None:
+        node.moments += sign * delta.moments
 
 
 @dataclass
@@ -292,6 +351,7 @@ class NodeDelta:
     above_counts: np.ndarray | None = None
     held_rows: np.ndarray | None = None
     family_rows: np.ndarray | None = None
+    moments: np.ndarray | None = None
 
 
 def compute_batch_delta(
@@ -323,8 +383,7 @@ def _collect_deltas(
 ) -> None:
     if batch.size == 0:
         return
-    class_delta, cat_deltas, bucket_deltas = _count_deltas(node, batch, schema, kernels)
-    delta = NodeDelta(node, class_delta, cat_deltas, bucket_deltas)
+    delta = _count_deltas(node, batch, schema, kernels)
     out.append(delta)
     if node.criterion is None:
         delta.family_rows = batch
@@ -356,12 +415,7 @@ def apply_batch_delta(deltas: list[NodeDelta]) -> None:
     """
     for delta in deltas:
         node = delta.node
-        node.dirty = True
-        node.class_counts += delta.class_counts
-        for index, matrix in delta.cat_counts.items():
-            node.cat_counts[index] += matrix
-        for index, matrix in delta.bucket_counts.items():
-            node.bucket_counts[index] += matrix
+        _add_counts(node, delta)
         if delta.below_counts is not None:
             node.below_counts += delta.below_counts
             node.above_counts += delta.above_counts
@@ -425,6 +479,8 @@ class EffectiveStats:
         class_counts: family class counts.
         cat_counts: per-categorical-attribute contingency matrices.
         bucket_counts: per-numerical-attribute bucket class counts.
+        moments: QUEST's per-class sums and sums of squares (QUEST
+            skeletons only, else None).
         below_counts / above_counts: numeric criterion only.
         held: every family tuple inside the confidence interval (own held
             store plus in-interval inherited tuples); numeric criterion
@@ -437,6 +493,7 @@ class EffectiveStats:
     class_counts: np.ndarray
     cat_counts: dict[int, np.ndarray]
     bucket_counts: dict[int, np.ndarray]
+    moments: np.ndarray | None
     below_counts: np.ndarray | None
     above_counts: np.ndarray | None
     held: np.ndarray
@@ -469,6 +526,7 @@ def effective_stats(
         class_counts = node.class_counts
         cat_counts = node.cat_counts
         bucket_counts = node.bucket_counts
+        moments = node.moments
         below_counts = node.below_counts
         above_counts = node.above_counts
     else:
@@ -487,6 +545,9 @@ def effective_stats(
                 buckets * k + labels, minlength=counts.size
             ).reshape(counts.shape)
             bucket_counts[index] = counts + flat
+        moments = node.moments
+        if moments is not None:
+            moments = moments + _moments(inherited, schema)
         below_counts = node.below_counts
         above_counts = node.above_counts
         if isinstance(node.criterion, CoarseNumeric):
@@ -510,6 +571,7 @@ def effective_stats(
         class_counts=class_counts,
         cat_counts=cat_counts,
         bucket_counts=bucket_counts,
+        moments=moments,
         below_counts=below_counts,
         above_counts=above_counts,
         held=held,

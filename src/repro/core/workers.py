@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SplitConfig, config_at_depth
-from ..splits.methods import ImpuritySplitSelection
 from ..storage import Schema, bootstrap_resample
 from ..tree import build_reference_tree, tree_to_dict
+from .state import BoatMethod
 
 #: Per-worker build context, set by :func:`init_build_context`.
 _CONTEXT: dict = {}
@@ -29,7 +29,7 @@ _CONTEXT: dict = {}
 def init_build_context(
     sample: np.ndarray,
     schema: Schema,
-    method: ImpuritySplitSelection,
+    method: BoatMethod,
     split_config: SplitConfig,
     subsample: int,
 ) -> None:

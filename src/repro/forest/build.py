@@ -2,8 +2,8 @@
 
 BOAT's two scans are both *streaming* passes whose per-row work is cheap
 relative to reading the row — so M ensemble members can share them.  The
-driver generalizes :func:`repro.core.boat_build` (and its QUEST twin)
-member-wise:
+driver generalizes :func:`repro.core.boat_build` member-wise, for either
+split selection method:
 
 * **scan 1** draws every member's in-memory sample in one pass: member
   ``m``'s sample positions are chosen inside its *resample* coordinate
@@ -48,28 +48,23 @@ from ..config import BoatConfig, SplitConfig
 from ..core.bootstrap import SamplingReport, sampling_phase
 from ..core.cleanup import shared_cleanup_scan
 from ..core.finalize import FinalizeReport, finalize_tree
-from ..core.quest_boat import QuestBoatReport, _intersect, _QuestFinalizer, _stream
-from ..core.state import stream_batch
+from ..core.state import BoatMethod, require_boat_method, stream_batch
 from ..exceptions import ReproError, SplitSelectionError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
 from ..splits.methods import ImpuritySplitSelection
-from ..splits.quest import QuestSplitSelection
 from ..storage import (
     CLASS_COLUMN,
     IOStats,
     Schema,
     Table,
     TupleStore,
-    bootstrap_resample,
     choose_sample_indices,
 )
 from ..tree import build_reference_tree
 from .bagging import MemberPlan, expand_batch, plan_members
 from .model import DecisionForest
-
-import itertools
 
 
 @dataclass
@@ -82,7 +77,6 @@ class MemberReport:
     tree_nodes: int = 0
     sampling: SamplingReport | None = None
     finalize: FinalizeReport | None = None
-    quest: QuestBoatReport | None = None
     oob_error: float | None = None
     oob_rows: int = 0
 
@@ -197,7 +191,7 @@ def _gather_member_samples(
 def forest_build(
     table: Table,
     n_members: int,
-    method: ImpuritySplitSelection | QuestSplitSelection | None = None,
+    method: BoatMethod | None = None,
     split_config: SplitConfig | None = None,
     boat_config: BoatConfig | None = None,
     spill_dir: str | None = None,
@@ -229,7 +223,7 @@ def forest_build(
     method = method or ImpuritySplitSelection(
         "gini", kernels=boat_config.kernel_backend
     )
-    quest_mode = isinstance(method, QuestSplitSelection)
+    require_boat_method(method)
     schema = table.schema
     n = len(table)
     if n < 1:
@@ -293,46 +287,20 @@ def forest_build(
             for m, (plan, sample, rng) in enumerate(
                 zip(plans, samples, member_rngs)
             ):
-                if quest_mode:
-                    subsample = boat_config.bootstrap_subsample or len(sample)
-                    quest_report = QuestBoatReport(table_size=n)
-                    roots = []
-                    for _ in range(boat_config.bootstrap_repetitions):
-                        resample = bootstrap_resample(sample, subsample, rng)
-                        roots.append(
-                            build_reference_tree(
-                                resample, schema, method, split_config
-                            ).root
-                        )
-                    skeletons.append(
-                        _intersect(
-                            roots,
-                            schema,
-                            split_config,
-                            boat_config,
-                            spill_dir,
-                            io,
-                            itertools.count(),
-                            0,
-                            quest_report,
-                        )
-                    )
-                    report.members[m].quest = quest_report
-                else:
-                    result = sampling_phase(
-                        sample,
-                        schema,
-                        method,
-                        split_config,
-                        boat_config,
-                        plan.resample_rows,
-                        rng,
-                        spill_dir,
-                        io,
-                        tracer=tracer,
-                    )
-                    skeletons.append(result.root)
-                    report.members[m].sampling = result.report
+                result = sampling_phase(
+                    sample,
+                    schema,
+                    method,
+                    split_config,
+                    boat_config,
+                    plan.resample_rows,
+                    rng,
+                    spill_dir,
+                    io,
+                    tracer=tracer,
+                )
+                skeletons.append(result.root)
+                report.members[m].sampling = result.report
             phase("sampling", t0, io_before)
 
             # -- scan 2: one shared cleanup scan for all members -----------
@@ -359,12 +327,9 @@ def forest_build(
                     for chunk in expand_batch(
                         batch, w, boat_config.batch_rows
                     ):
-                        if quest_mode:
-                            _stream(skeleton, chunk, schema, kernels)
-                        else:
-                            stream_batch(
-                                skeleton, chunk, schema, sign=1, kernels=kernels
-                            )
+                        stream_batch(
+                            skeleton, chunk, schema, sign=1, kernels=kernels
+                        )
                     if store is not None:
                         zero = w == 0
                         if zero.any():
@@ -394,16 +359,10 @@ def forest_build(
             members = []
             with tracer.span("finalize", members=n_members):
                 for m in range(n_members):
-                    if quest_mode:
-                        finalizer = _QuestFinalizer(
-                            schema, method, split_config, report.members[m].quest
-                        )
-                        tree = finalizer.run(skeletons[m])
-                    else:
-                        tree, finalize_report = finalize_tree(
-                            skeletons[m], schema, method, split_config
-                        )
-                        report.members[m].finalize = finalize_report
+                    tree, finalize_report = finalize_tree(
+                        skeletons[m], schema, method, split_config
+                    )
+                    report.members[m].finalize = finalize_report
                     report.members[m].tree_nodes = tree.n_nodes
                     members.append(tree)
             phase("finalize", t0, io_before)

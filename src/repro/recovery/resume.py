@@ -40,6 +40,7 @@ from ..config import BoatConfig, SplitConfig
 from ..core.boat import BoatReport, BoatResult
 from ..core.cleanup import cleanup_scan
 from ..core.finalize import finalize_tree
+from ..core.state import reject_float_moments
 from ..exceptions import RecoveryError, ReproError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, Tracer
@@ -98,6 +99,7 @@ def resume_build(
         the uninterrupted build's.  ``report.sampling`` is ``None`` — the
         sampling diagnostics died with the original process.
     """
+    reject_float_moments(method, "resume_build")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
     if not boat_config.checkpoint_dir:

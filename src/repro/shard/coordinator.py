@@ -50,6 +50,7 @@ from ..config import BoatConfig, SplitConfig
 from ..core.boat import BoatReport, make_build_pool
 from ..core.bootstrap import sampling_phase
 from ..core.finalize import finalize_tree, prefetch_frontier_subtrees
+from ..core.state import reject_float_moments
 from ..exceptions import ReproError, ShardError, StorageError
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..recovery.checkpoint import (
@@ -220,6 +221,7 @@ def sharded_boat_build(
     via :func:`~repro.shard.elastic.resume_sharded_build` (or plain
     :func:`repro.recovery.resume_build`, which delegates).
     """
+    reject_float_moments(method, "sharded_boat_build")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
     rng = np.random.default_rng(boat_config.seed)

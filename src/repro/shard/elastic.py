@@ -60,6 +60,7 @@ from typing import Callable
 from ..config import BoatConfig, SplitConfig
 from ..core.boat import BoatReport
 from ..core.finalize import finalize_tree
+from ..core.state import reject_float_moments
 from ..exceptions import RecoveryError, ReproError, ShardError, StorageError
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..recovery.checkpoint import (
@@ -573,6 +574,7 @@ def resume_sharded_build(
         _shard_offsets,
     )
 
+    reject_float_moments(method, "resume_sharded_build")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
     if not boat_config.checkpoint_dir:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc
 
 from ..config import SplitConfig
 from ..exceptions import SplitSelectionError
@@ -121,6 +120,9 @@ def anova_p_value(
     classes, no residual degrees of freedom, or zero within-class
     variance), which deterministically deprioritizes the attribute.
     """
+    # Imported here so processes that never run QUEST skip scipy.special.
+    from scipy.special import fdtrc
+
     active = counts > 0
     g = int(active.sum())
     n = int(counts.sum())
@@ -144,6 +146,8 @@ def chi_square_p_value(contingency: np.ndarray) -> float:
 
     Returns 1.0 when undefined (fewer than two non-empty rows/columns).
     """
+    from scipy.special import chdtrc
+
     table = contingency[contingency.sum(axis=1) > 0][
         :, contingency.sum(axis=0) > 0
     ]

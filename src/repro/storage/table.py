@@ -318,7 +318,7 @@ class DiskTable(Table):
     """
 
     #: ``scan`` accepts ``start_row`` (resumed scans seek instead of
-    #: re-reading the prefix) — see :func:`repro.core.cleanup.scan_from`.
+    #: re-reading the prefix) — see :func:`bounded_scan`.
     scan_supports_start_row = True
     scan_supports_stop_row = True
 

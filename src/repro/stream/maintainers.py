@@ -2,12 +2,13 @@
 
 :class:`~repro.core.IncrementalBoat` is the paper's §4 maintainer — it
 patches the optimistic skeleton and only rebuilds drifted subtrees.  Its
-finalization path is impurity-based, so it covers every
-:class:`~repro.splits.ImpuritySplitSelection` but not QUEST, whose
-skeleton machinery (``repro.core.quest_boat``) has no insert/delete
-support.  :class:`RebuildMaintainer` fills that gap with the brute
-baseline the paper compares against: keep the live training multiset in
-a (spillable) store and rebuild the tree from scratch on every update.
+skeleton keeps integer statistics it can retract exactly, so it covers
+every :class:`~repro.splits.ImpuritySplitSelection` but not QUEST, whose
+per-node moments are float sums that deletes cannot retract exactly
+(``IncrementalBoat`` refuses QUEST).  :class:`RebuildMaintainer` fills
+that gap with the brute baseline the paper compares against: keep the
+live training multiset in a (spillable) store and rebuild the tree from
+scratch on every update.
 
 It exposes the same maintainer protocol the streaming service consumes —
 ``insert``/``delete`` returning an :class:`~repro.core.UpdateReport`,

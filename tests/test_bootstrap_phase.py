@@ -131,13 +131,36 @@ class TestInMemoryThreshold:
 
 
 class TestValidation:
-    def test_requires_impurity_method(self, small_schema):
+    def test_quest_skeleton_has_moments_not_edges(self, small_schema):
+        sample = simple_xy_data(small_schema, 2000, seed=13, rule="xy")
+        result = sampling_phase(
+            sample,
+            small_schema,
+            QuestSplitSelection(),
+            SplitConfig(min_samples_split=10, min_samples_leaf=2),
+            BoatConfig(sample_size=2000, bootstrap_repetitions=8, seed=1),
+            20000,
+            np.random.default_rng(0),
+        )
+        n_numeric = len(small_schema.numerical_attributes)
+        internal = [n for n in result.root.nodes() if not n.is_frontier]
+        assert internal
+        for node in result.root.nodes():
+            assert node.bucket_edges == {} and node.bucket_counts == {}
+            if node.is_frontier:
+                assert node.moments is None
+            else:
+                assert node.moments.shape == (2, n_numeric, small_schema.n_classes)
+                assert node.moments.dtype == np.float64
+                assert not node.moments.any()
+
+    def test_rejects_unknown_method(self, small_schema):
         sample = simple_xy_data(small_schema, 100, seed=13)
         with pytest.raises(SplitSelectionError):
             sampling_phase(
                 sample,
                 small_schema,
-                QuestSplitSelection(),
+                object(),
                 SplitConfig(),
                 BoatConfig(sample_size=100, bootstrap_repetitions=4),
                 1000,

@@ -66,6 +66,21 @@ class TestBuild:
         assert code == 0
         assert json.load(open(out))["root"]
 
+    def test_quest_checkpoint_is_a_library_error(
+        self, generated_table, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        code = main(
+            [
+                "build", generated_table, str(tmp_path / "q.json"),
+                "--method", "quest", "--sample-size", "1000",
+                "--checkpoint", str(ckpt),
+            ]
+        )
+        assert code == 1
+        assert "QUEST" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_missing_table_errors(self, tmp_path, capsys):
         code = main(["build", str(tmp_path / "nope.tbl"), str(tmp_path / "o.json")])
         assert code == 1

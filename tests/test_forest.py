@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build, quest_boat_build
+from repro.core import boat_build
 from repro.datagen import AgrawalConfig, AgrawalGenerator
 from repro.exceptions import SplitSelectionError, StorageError
 from repro.forest import (
@@ -74,10 +74,7 @@ def _standalone_member(path, plan, method_name, n_workers=1):
         table = ResampleTable(source, plan.weights)
         config = replace(BOAT, seed=plan.build_seed, n_workers=n_workers)
         method = _make_method(method_name)
-        if method_name == "quest":
-            result = quest_boat_build(table, method, SPLIT, config)
-        else:
-            result = boat_build(table, method, SPLIT, config)
+        result = boat_build(table, method, SPLIT, config)
     return result.tree, io
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build, quest_boat_build
+from repro.core import boat_build
 from repro.datagen import AgrawalConfig, AgrawalGenerator
 from repro.splits import ImpuritySplitSelection, QuestSplitSelection
 from repro.storage import (
@@ -64,7 +64,7 @@ def _gini_tree(table, backend: str, n_workers: int = 1) -> str:
 
 
 def _quest_tree(table, backend: str) -> str:
-    result = quest_boat_build(
+    result = boat_build(
         table,
         QuestSplitSelection(kernels=backend),
         SPLIT_CONFIG,

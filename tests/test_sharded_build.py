@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build, quest_boat_build
+from repro.core import boat_build
 from repro.datagen import AgrawalConfig, AgrawalGenerator
 from repro.exceptions import ShardError
 from repro.shard import (
@@ -109,12 +109,12 @@ class TestByteIdentity:
         """QUEST consumes the sharded table directly through the scan
         API; the cross-shard re-batching keeps its float accumulation
         order — and therefore the tree — byte-identical."""
-        reference = quest_boat_build(
+        reference = boat_build(
             flat_table, QuestSplitSelection(), SPLIT, _config()
         ).tree
         table = ShardedTable.open(shard_dirs[k], IOStats())
         try:
-            sharded = quest_boat_build(
+            sharded = boat_build(
                 table, QuestSplitSelection(), SPLIT, _config()
             ).tree
         finally:

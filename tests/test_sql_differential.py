@@ -8,8 +8,9 @@ here, on F1–F10 Agrawal workloads:
   the database through the normal cleanup path) and pushdown (per-node
   statistics computed as grouped aggregation SQL, only held/family rows
   exported) — against the in-memory reference build;
-* the QUEST driver over a SqlTable (plain scans; the pushdown knob does
-  not apply to QUEST and is documented as such);
+* QUEST over a SqlTable (plain scans; QUEST's float moments cannot be
+  pushed down, so the pushdown knob raises for QUEST — see
+  ``tests/test_quest_boat.py``);
 * a star-join workload trained end-to-end from a ``from_query`` view
   with zero materialized rows and exactly two logical scans;
 * the CLI round trip: ``generate --backend sql`` + ``build`` with
@@ -25,7 +26,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build, quest_boat_build
+from repro.core import boat_build
 from repro.datagen import AgrawalConfig, AgrawalGenerator
 from repro.splits import ImpuritySplitSelection, QuestSplitSelection
 from repro.storage import (
@@ -99,10 +100,10 @@ class TestSqlBuildDifferential:
     def test_quest_build_over_sql_table(self, function_id):
         data, schema = _workload(function_id)
         config = _boat_config(function_id)
-        flat = quest_boat_build(
+        flat = boat_build(
             MemoryTable(schema, data), QuestSplitSelection(), SPLIT_CONFIG, config
         )
-        sql = quest_boat_build(
+        sql = boat_build(
             _sql_table(schema, data), QuestSplitSelection(), SPLIT_CONFIG, config
         )
         assert tree_to_json(sql.tree) == tree_to_json(flat.tree)
