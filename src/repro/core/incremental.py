@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,12 @@ from ..tree import DecisionTree
 from .bootstrap import sampling_phase
 from .finalize import FinalizeReport, Finalizer, config_at_depth
 from .state import BoatNode, collect_family, reject_float_moments, stream_batch
+
+
+#: Per-update reports (and drift lines) a maintainer keeps: the most
+#: recent ones only, so a long-running ``repro serve --stream`` holds
+#: bounded memory however many updates it applies.
+REPORT_HISTORY = 256
 
 
 @dataclass
@@ -84,7 +91,10 @@ class IncrementalBoat:
         self._skeleton: BoatNode | None = None
         self._tree: DecisionTree | None = None
         self._n_rows = 0
-        self.reports: list[UpdateReport] = []
+        #: The most recent :data:`REPORT_HISTORY` update reports, oldest first.
+        self.reports: deque[UpdateReport] = deque(maxlen=REPORT_HISTORY)
+        #: Drift lines of the most recent updates, oldest first (bounded).
+        self.drift: deque[str] = deque(maxlen=REPORT_HISTORY)
         self._listeners: list = []
 
     # -- construction ------------------------------------------------------
@@ -284,6 +294,7 @@ class IncrementalBoat:
             drift=list(report.rebuild_reasons),
         )
         self.reports.append(update)
+        self.drift.extend(update.drift)
         for listener in self._listeners:
             listener(self._tree)
         return update

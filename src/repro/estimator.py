@@ -217,10 +217,15 @@ class BoatClassifier:
 
     @property
     def drift_log(self) -> list[str]:
-        """Accumulated drift reports from incremental updates."""
+        """Drift reports of recent incremental updates, oldest first.
+
+        Bounded: the maintainer keeps the drift lines of its most recent
+        updates only (:data:`repro.core.incremental.REPORT_HISTORY`
+        lines), so a long-lived classifier does not grow without limit.
+        """
         if self._maintainer is None:
             return []
-        return [line for r in self._maintainer.reports for line in r.drift]
+        return list(self._maintainer.drift)
 
     # -- helpers ---------------------------------------------------------------
 

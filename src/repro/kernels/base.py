@@ -141,8 +141,10 @@ class KernelBackend(ABC):
         """Weighted split impurity per candidate left-count row.
 
         Semantics of :meth:`repro.splits.impurity.ImpurityMeasure.weighted`:
-        given (m, k) integer left counts and the (k,) family total, return
-        the (m,) float64 weighted impurities ``(n_L imp(L) + n_R imp(R)) / N``.
+        given (m, k) integer left counts and the (k,) family total — or
+        (m, k) totals, one per row, each row then scored against its own
+        total — return the (m,) float64 weighted impurities
+        ``(n_L imp(L) + n_R imp(R)) / N``.
         """
 
     # ------------------------------------------------------------------

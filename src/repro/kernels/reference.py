@@ -182,21 +182,26 @@ class PythonKernels(KernelBackend):
         left = np.asarray(left_counts, dtype=np.float64)
         if left.ndim == 1:
             left = left[np.newaxis, :]
-        total = [float(t) for t in np.asarray(total_counts).tolist()]
-        k = len(total)
+        totals = np.asarray(total_counts, dtype=np.float64)
+        k = totals.shape[-1]
         if measure.name != "gini" or k >= 8:
             # Outside the exactness domain of the per-row mirror (numpy's
             # pairwise summation stops matching left-to-right accumulation
             # at 8 addends); fall through to the shared float path.
             return measure.weighted(left_counts, total_counts)
-        n = 0.0
-        for t in total:
-            n += t
         m = left.shape[0]
-        if n <= 0:
-            return np.zeros(m, dtype=np.float64)
+        if totals.ndim == 1:
+            totals = np.broadcast_to(totals, (m, k))
         out = np.empty(m, dtype=np.float64)
         for r in range(m):
+            # Each row is scored against its own family total.
+            total = totals[r].tolist()
+            n = 0.0
+            for t in total:
+                n += t
+            if n <= 0:
+                out[r] = 0.0
+                continue
             row = left[r].tolist()
             n_left = 0.0
             n_right = 0.0

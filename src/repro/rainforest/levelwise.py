@@ -474,7 +474,11 @@ class LevelwiseBuilder:
         )
         n_total = int(total.sum())
         n_left = left_counts.sum(axis=1)
-        admissible = (n_left >= min_leaf) & (n_total - n_left >= min_leaf)
+        admissible = (
+            (n_left >= min_leaf)
+            & (n_total - n_left >= min_leaf)
+            & ~np.isnan(avc.values)  # X <= NaN splits nothing off
+        )
         if not admissible.any():
             return None
         masked = np.where(admissible, impurities, np.inf)

@@ -32,12 +32,14 @@ def category_class_counts(
     return counts.reshape(domain_size, n_classes)
 
 
-def _exhaustive_selectors(p: int) -> np.ndarray:
+def exhaustive_selectors(p: int) -> np.ndarray:
     """Membership matrix of all proper subsets containing category rank 0.
 
     Row ``mask`` selects rank 0 plus the ranks of ``present[1:]`` whose bit
     is set in ``mask``; the all-ones mask (empty right side) is excluded.
     Rows are in ascending mask order — the deterministic tie-break order.
+    The first ``2^(q-1) - 1`` rows, restricted to the first ``q`` columns,
+    are exactly ``exhaustive_selectors(q)`` for any ``q <= p``.
     """
     m = 1 << (p - 1)
     selectors = np.zeros((m - 1, p), dtype=bool)
@@ -81,7 +83,7 @@ def best_categorical_split_from_counts(
     if len(present) < 2:
         return None
     if len(present) <= max_exhaustive:
-        selectors = _exhaustive_selectors(len(present))
+        selectors = exhaustive_selectors(len(present))
     else:
         selectors = _prefix_selectors(present, counts)
     if len(selectors) == 0:

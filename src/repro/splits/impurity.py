@@ -40,6 +40,25 @@ def _as_2d_float(counts: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Row sums of a (m, k) float matrix: the bits of ``matrix.sum(axis=1)``.
+
+    For fewer than 8 columns numpy's pairwise summation adds a row left to
+    right, so adding whole columns left to right gives the same bits (the
+    one exception, a row of negative zeros, cannot occur here: counts,
+    probabilities and their terms are never -0.0) with k vector adds
+    instead of a per-row reduction loop, which dominates on the tall,
+    narrow matrices of candidate search.
+    """
+    k = matrix.shape[1]
+    if not 0 < k < 8:
+        return matrix.sum(axis=1)
+    out = matrix[:, 0].copy()
+    for c in range(1, k):
+        out += matrix[:, c]
+    return out
+
+
 class ImpurityMeasure(ABC):
     """A concave impurity function evaluated from class counts."""
 
@@ -57,6 +76,14 @@ class ImpurityMeasure(ABC):
         """Impurity of a single node from its 1-D class-count vector."""
         return float(self._node_impurity_rows(_as_2d_float(counts))[0])
 
+    def node_impurities(self, counts: np.ndarray) -> np.ndarray:
+        """Per-row impurity of a (m, k) class-count matrix.
+
+        Row ``i`` is bit-identical to ``node_impurity(counts[i])``: the
+        row formula never mixes rows.
+        """
+        return self._node_impurity_rows(_as_2d_float(counts))
+
     def weighted(self, left_counts: np.ndarray, total_counts: np.ndarray) -> np.ndarray:
         """Weighted split impurity for candidate left-count rows.
 
@@ -64,30 +91,36 @@ class ImpurityMeasure(ABC):
             left_counts: integer array of shape (m, k) — class counts of the
                 left child for each of m candidate splits (1-D allowed for
                 a single candidate).
-            total_counts: integer 1-D array of shape (k,) — class counts of
-                the whole family; right counts are ``total - left``.
+            total_counts: integer array of shape (k,) — class counts of
+                the whole family — or (m, k), one family total per
+                candidate row; right counts are ``total - left``.
 
         Returns:
             float64 array of shape (m,) with the weighted impurity
-            ``(n_L/N) imp(L) + (n_R/N) imp(R)`` per candidate.
+            ``(n_L/N) imp(L) + (n_R/N) imp(R)`` per candidate, where ``N``
+            is the row's own total (0.0 where ``N`` is 0).  The formula is
+            row-local, so a (k,) total gives bit-identical output to the
+            same total broadcast to (m, k).
         """
         left = _as_2d_float(left_counts)
         total = np.asarray(total_counts, dtype=np.float64)
-        if total.ndim != 1 or total.shape[0] != left.shape[1]:
+        if total.shape != left.shape[1:] and total.shape != left.shape:
             raise SplitSelectionError(
                 f"total_counts shape {total.shape} incompatible with "
                 f"left_counts shape {left.shape}"
             )
-        right = total[np.newaxis, :] - left
-        n = float(total.sum())
-        if n <= 0:
-            return np.zeros(left.shape[0], dtype=np.float64)
-        n_left = left.sum(axis=1)
-        n_right = right.sum(axis=1)
-        return (
-            n_left * self._node_impurity_rows(left)
-            + n_right * self._node_impurity_rows(right)
-        ) / n
+        right = total - left
+        n = total.sum() if total.ndim == 1 else _row_sums(total)
+        n_left = _row_sums(left)
+        n_right = _row_sums(right)
+        weighted = n_left * self._node_impurity_rows(left) + n_right * (
+            self._node_impurity_rows(right)
+        )
+        if np.ndim(n) == 0:
+            if n <= 0:
+                return np.zeros(left.shape[0], dtype=np.float64)
+            return weighted / n
+        return np.where(n > 0, weighted / np.where(n > 0, n, 1.0), 0.0)
 
     def weighted_scalar(
         self, left_counts: np.ndarray, total_counts: np.ndarray
@@ -105,10 +138,10 @@ class Gini(ImpurityMeasure):
     name = "gini"
 
     def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
+        totals = _row_sums(counts)
         safe = np.where(totals > 0, totals, 1.0)
         p = counts / safe[:, np.newaxis]
-        gini = 1.0 - np.square(p).sum(axis=1)
+        gini = 1.0 - _row_sums(np.square(p))
         return np.where(totals > 0, gini, 0.0)
 
 
@@ -118,12 +151,12 @@ class Entropy(ImpurityMeasure):
     name = "entropy"
 
     def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
+        totals = _row_sums(counts)
         safe = np.where(totals > 0, totals, 1.0)
         p = counts / safe[:, np.newaxis]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0, p * np.log(p), 0.0)
-        ent = -terms.sum(axis=1)
+        ent = -_row_sums(terms)
         return np.where(totals > 0, ent, 0.0)
 
 
@@ -139,11 +172,11 @@ class InterclassVariance(ImpurityMeasure):
     name = "interclass_variance"
 
     def _node_impurity_rows(self, counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=1)
+        totals = _row_sums(counts)
         safe = np.where(totals > 0, totals, 1.0)
         p = counts / safe[:, np.newaxis]
         k = counts.shape[1]
-        value = 2.0 * (p * (1.0 - p)).sum(axis=1) / k
+        value = 2.0 * _row_sums(p * (1.0 - p)) / k
         return np.where(totals > 0, value, 0.0)
 
 

@@ -4,7 +4,9 @@ Candidate split points are the *observed attribute values* of the node's
 family (predicate ``X <= x``), exactly as the paper defines
 ``imp_X(n, X, x)`` for ``x in dom(X)``.  Candidates leaving either child
 below ``min_samples_leaf`` are inadmissible (this also rules out the
-maximum value, whose right child would be empty).
+maximum value, whose right child would be empty), and so is NaN: NaN is
+not in ``dom(X)``, and ``X <= NaN`` holds for no tuple, so such a split
+would send the whole family right and never terminate.
 
 The search returns, besides the winning candidate, the full sorted
 candidate/impurity profile — BOAT's sampling phase uses it to place
@@ -30,7 +32,8 @@ class NumericProfile:
             inadmissible ones — the discretizer needs the full profile).
         left_counts: (m, k) int64 — class counts of ``X <= candidate``.
         impurities: (m,) float64 — weighted impurity per candidate.
-        admissible: (m,) bool — candidates satisfying min_samples_leaf.
+        admissible: (m,) bool — non-NaN candidates satisfying
+            min_samples_leaf.
     """
 
     candidates: np.ndarray
@@ -116,8 +119,10 @@ def numeric_profile(
     impurities = kernels.weighted_impurity(impurity, left_counts, total_counts)
     n_total = int(total_counts.sum())
     n_left = left_counts.sum(axis=1)
-    admissible = (n_left >= min_samples_leaf) & (
-        n_total - n_left >= min_samples_leaf
+    admissible = (
+        (n_left >= min_samples_leaf)
+        & (n_total - n_left >= min_samples_leaf)
+        & ~np.isnan(candidates)
     )
     return NumericProfile(
         candidates=candidates,

@@ -23,6 +23,7 @@ multiset bookkeeping (bitwise delete matching, order preservation).
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from ..config import SplitConfig
 from ..core import UpdateReport
 from ..core.finalize import FinalizeReport
+from ..core.incremental import REPORT_HISTORY
 from ..core.state import multiset_remove
 from ..exceptions import TreeStructureError
 from ..splits.base import SplitSelectionMethod
@@ -56,7 +58,8 @@ class RebuildMaintainer:
         )
         self._tree: DecisionTree | None = None
         self._listeners: list = []
-        self.reports: list[UpdateReport] = []
+        #: The most recent :data:`REPORT_HISTORY` update reports, oldest first.
+        self.reports: deque[UpdateReport] = deque(maxlen=REPORT_HISTORY)
 
     @classmethod
     def from_chunk(

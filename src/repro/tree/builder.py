@@ -3,12 +3,25 @@
 ``TDTree`` applied to an in-memory family: select a split with the given
 CL, partition, recurse.  This builder *defines* the target tree — BOAT's
 exactness guarantee is "produce exactly what this builder produces on the
-full database" — so it is deliberately simple, deterministic, and shares
-every candidate-evaluation code path with BOAT (see
-:mod:`repro.splits.impurity`).
+full database" — so it is deliberately deterministic, and shares every
+candidate-evaluation formula with BOAT (see :mod:`repro.splits.impurity`).
+BOAT uses it for its bootstrap trees, frontier completions and subtree
+rebuilds.
 
-Construction order is preorder (node ids increase root → left subtree →
-right subtree), but tree equality never depends on ids.
+Two growers produce the same tree:
+
+* :func:`grow_subtree`, the per-node recursion through
+  ``method.choose_split`` — used for every method that is not exactly
+  :class:`~repro.splits.methods.ImpuritySplitSelection` (QUEST) and for
+  the per-row ``python`` kernel backend, which keeps it as the oracle;
+* :func:`repro.tree.grower.grow_levelwise`, the level-synchronous split
+  search over presorted columns — used for impurity methods on the
+  ``numpy`` backend.  It is byte-identical to the recursion (the oracle
+  and differential suites prove it) and several times fewer numpy calls.
+
+Node ids follow the recursion's allocation order (both children of a
+node, then its left subtree, then its right subtree), but tree equality
+never depends on ids.
 """
 
 from __future__ import annotations
@@ -16,9 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import SplitConfig
-from ..kernels import DEFAULT_KERNELS, KernelBackend
+from ..kernels import DEFAULT_KERNELS, KernelBackend, NumpyKernels
 from ..splits.base import SplitSelectionMethod
+from ..splits.methods import ImpuritySplitSelection
 from ..storage import CLASS_COLUMN, Schema
+from .grower import grow_levelwise
 from .model import DecisionTree, Node
 
 
@@ -34,6 +49,20 @@ def class_counts(
 def _method_kernels(method: SplitSelectionMethod) -> KernelBackend:
     """The kernel backend a split selection method carries (numpy default)."""
     return getattr(method, "kernels", DEFAULT_KERNELS)
+
+
+def _grows_levelwise(method: SplitSelectionMethod, kernels: KernelBackend) -> bool:
+    """Whether the level-synchronous grower reproduces ``method``'s tree.
+
+    It reimplements exactly :meth:`ImpuritySplitSelection.choose_split`,
+    vectorized with numpy, so any other method (QUEST, a subclass with its
+    own ``choose_split``) and any other backend keep the recursion.
+    """
+    return (
+        isinstance(method, ImpuritySplitSelection)
+        and type(method).choose_split is ImpuritySplitSelection.choose_split
+        and isinstance(kernels, NumpyKernels)
+    )
 
 
 def build_reference_tree(
@@ -52,6 +81,8 @@ def build_reference_tree(
     """
     config = config or SplitConfig()
     kernels = _method_kernels(method)
+    if _grows_levelwise(method, kernels):
+        return grow_levelwise(family, schema, method.impurity, kernels, config)
     root = Node(0, 0, class_counts(family, schema.n_classes, kernels))
     tree = DecisionTree(schema, root)
     grow_subtree(tree, root, family, method, config)
@@ -67,8 +98,9 @@ def grow_subtree(
 ) -> None:
     """Recursively grow the subtree rooted at ``node`` from its family.
 
-    ``node.class_counts`` must already describe ``family``.  Also used by
-    BOAT to finish frontier nodes and rebuild discarded subtrees in place.
+    ``node.class_counts`` must already describe ``family``.  This is the
+    per-node path of :func:`build_reference_tree` (QUEST, the ``python``
+    oracle) and the reference the level-wise grower is tested against.
     """
     if config.max_depth is not None and node.depth >= config.max_depth:
         return

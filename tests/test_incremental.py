@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import BoatConfig, SplitConfig
 from repro.core import IncrementalBoat
+from repro.core.incremental import REPORT_HISTORY
 from repro.datagen import AgrawalConfig, AgrawalGenerator, drifted_function_1
 from repro.exceptions import StorageError, TreeStructureError
 from repro.splits import ImpuritySplitSelection
@@ -107,6 +108,17 @@ class TestInsertions:
         inc.insert(simple_xy_data(small_schema, 500, seed=70))
         assert [r.operation for r in inc.reports] == ["build", "insert"]
         assert inc.reports[-1].chunk_size == 500
+
+    def test_reports_are_bounded(self, small_schema):
+        """A long-running maintainer keeps only the most recent reports."""
+        base = simple_xy_data(small_schema, 600, seed=9)
+        inc = build_maintainer(small_schema, base)
+        rows = simple_xy_data(small_schema, 500, seed=90)
+        for i in range(500):
+            last = inc.insert(rows[i : i + 1])
+        assert len(inc.reports) <= REPORT_HISTORY
+        assert inc.reports[-1] is last
+        assert len(inc.drift) <= REPORT_HISTORY
 
     def test_empty_chunk_is_noop(self, small_schema):
         base = simple_xy_data(small_schema, 2000, seed=8, rule="x")

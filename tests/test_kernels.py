@@ -196,6 +196,50 @@ def test_weighted_impurity_equivalence(batch, measure):
     )
 
 
+@st.composite
+def left_rows_with_totals(draw, max_rows: int = 30):
+    """(m, K) left counts with (m, K) per-row totals, each row's total at
+    least its left counts; zero totals included."""
+    m = draw(st.integers(0, max_rows))
+    cells = st.lists(st.integers(0, 40), min_size=K, max_size=K)
+    left = np.asarray(draw(st.lists(cells, min_size=m, max_size=m)), dtype=np.int64)
+    extra = np.asarray(draw(st.lists(cells, min_size=m, max_size=m)), dtype=np.int64)
+    return left.reshape(m, K), (left + extra).reshape(m, K)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=left_rows_with_totals(), measure=st.sampled_from(
+    ["gini", "entropy", "interclass_variance"]
+))
+def test_weighted_impurity_per_row_totals(rows, measure):
+    """(m, k) totals: numpy ≡ python, and each row scored on its own total."""
+    left, totals = rows
+    impurity = get_impurity(measure)
+    got = NUMPY.weighted_impurity(impurity, left, totals)
+    _same_bytes(got, PYTHON.weighted_impurity(impurity, left, totals))
+    for r in range(len(left)):
+        alone = NUMPY.weighted_impurity(impurity, left[r : r + 1], totals[r])
+        _same_bytes(got[r : r + 1], alone)
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=value_label_batch(min_size=1), measure=st.sampled_from(
+    ["gini", "entropy", "interclass_variance"]
+))
+def test_weighted_impurity_broadcast_total_bit_identical(batch, measure):
+    """A (k,) total and the same total broadcast to (m, k) agree bitwise."""
+    values, labels = batch
+    impurity = get_impurity(measure)
+    total = NUMPY.class_histogram(labels, K)
+    _, left_counts = NUMPY.numeric_candidates(values, labels, K)
+    broadcast = np.tile(total, (len(left_counts), 1))
+    for kernels in (NUMPY, PYTHON):
+        _same_bytes(
+            kernels.weighted_impurity(impurity, left_counts, total),
+            kernels.weighted_impurity(impurity, left_counts, broadcast),
+        )
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=100, deadline=None)
