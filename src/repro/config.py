@@ -150,8 +150,9 @@ class BoatConfig:
             and export only held/family rows (see docs/SQL.md).  A
             placement/speed knob, never the tree: the output is
             byte-identical with it on or off, and it is ignored for
-            non-SQL tables, sub-range scans, and checkpointed builds
-            (which need row-granular scan progress).
+            non-SQL tables.  It cannot be combined with
+            ``checkpoint_dir``: checkpoints need row-granular scan
+            progress, which the aggregation pushdown cannot report.
         scan_retry_base_delay_s: backoff before the first retry; each
             subsequent retry doubles it, capped at
             ``scan_retry_max_delay_s``.
@@ -209,6 +210,11 @@ class BoatConfig:
             raise ValueError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
+            )
+        if self.sql_pushdown and self.checkpoint_dir is not None:
+            raise ValueError(
+                "sql_pushdown cannot be combined with checkpoint_dir: "
+                "checkpoints need row-granular scan progress"
             )
         if self.checkpoint_every_batches < 1:
             raise ValueError("checkpoint_every_batches must be >= 1")

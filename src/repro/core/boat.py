@@ -253,12 +253,7 @@ def boat_build(
                         else checkpoint.progress_hook(result.root)
                     ),
                     kernels=get_kernels(boat_config.kernel_backend),
-                    # Checkpointing needs row-granular scan progress, which
-                    # the aggregation pushdown cannot report; resume paths
-                    # use the streamed scan.
-                    sql_pushdown=(
-                        boat_config.sql_pushdown and checkpoint is None
-                    ),
+                    sql_pushdown=boat_config.sql_pushdown,
                 )
                 phase("cleanup_scan", t0, io_before)
                 if checkpoint is not None:

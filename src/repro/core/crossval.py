@@ -33,7 +33,7 @@ from ..tree import DecisionTree, build_reference_tree
 from .bootstrap import sampling_phase
 from .cleanup import shared_cleanup_scan
 from .finalize import finalize_tree
-from .state import stream_batch
+from .state import apply_batch_delta, compute_batch_delta
 
 
 @dataclass
@@ -116,9 +116,10 @@ def boat_cross_validate(
 
         # -- scan 2: shared cleanup scan ---------------------------------
         def fold_sink(fold: int, skeleton):
-            def sink(batch: np.ndarray, offset: int) -> None:
+            def sink(batch: np.ndarray, offset: int):
                 folds = (offset + np.arange(len(batch))) % k
-                stream_batch(skeleton, batch[folds != fold], schema)
+                deltas = compute_batch_delta(skeleton, batch[folds != fold], schema)
+                return lambda: apply_batch_delta(deltas)
 
             return sink
 

@@ -37,6 +37,7 @@ from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, Schema, Table
 from ..tree import DecisionTree
 from .bootstrap import sampling_phase
+from .cleanup import cleanup_scan
 from .finalize import FinalizeReport, Finalizer, config_at_depth
 from .state import BoatNode, collect_family, reject_float_moments, stream_batch
 
@@ -172,9 +173,13 @@ class IncrementalBoat:
                     tracer=self.tracer,
                 )
                 self._skeleton = result.root
-            with self.tracer.span("cleanup", batch_rows=self._config.batch_rows):
-                for batch in table.scan(self._config.batch_rows):
-                    stream_batch(self._skeleton, batch, self._schema, sign=1)
+            cleanup_scan(
+                self._skeleton,
+                table,
+                self._schema,
+                self._config.batch_rows,
+                tracer=self.tracer,
+            )
             self._n_rows = len(table)
             report = self._finalize()
         self._record("build", len(table), start, report)

@@ -243,39 +243,11 @@ def stream_batch(
 ) -> None:
     """Stream a batch down the skeleton, updating statistics in place.
 
-    ``sign=+1`` inserts (the cleanup scan and incremental insertion);
-    ``sign=-1`` deletes (incremental deletion) — counts are decremented
-    and matching tuples are removed from held/family stores.
+    ``sign=+1`` inserts (incremental insertion); ``sign=-1`` deletes
+    (incremental deletion) — counts are decremented and matching tuples
+    are removed from held/family stores.
     """
-    if batch.size == 0:
-        return
-    _add_counts(node, _count_deltas(node, batch, schema, kernels), sign)
-    if node.criterion is None:
-        if sign > 0:
-            node.family_store.append(batch)
-        else:
-            _remove_from_store(node.family_store, batch)
-        return
-    if isinstance(node.criterion, CoarseCategorical):
-        go_left = node.criterion.go_left(batch, schema, kernels)
-        left, right = node.children()
-        stream_batch(left, batch[go_left], schema, sign, kernels)
-        stream_batch(right, batch[~go_left], schema, sign, kernels)
-        return
-    below, held, above = node.criterion.masks(batch, schema, kernels)
-    labels = batch[CLASS_COLUMN]
-    k = schema.n_classes
-    node.below_counts += sign * kernels.class_histogram(labels[below], k)
-    node.above_counts += sign * kernels.class_histogram(labels[above], k)
-    held_batch = batch[held]
-    if held_batch.size:
-        if sign > 0:
-            node.held.append(held_batch)
-        else:
-            _remove_from_store(node.held, held_batch)
-    left, right = node.children()
-    stream_batch(left, batch[below], schema, sign, kernels)
-    stream_batch(right, batch[above], schema, sign, kernels)
+    apply_batch_delta(compute_batch_delta(node, batch, schema, kernels), sign)
 
 
 def _count_deltas(
@@ -362,12 +334,11 @@ def compute_batch_delta(
 ) -> list[NodeDelta]:
     """Route a batch down the skeleton, collecting deltas instead of mutating.
 
-    This is the read-only half of :func:`stream_batch` (insertion only):
-    it touches only immutable node state (criteria, bucket edges), so any
-    number of batches can be processed concurrently.  Deltas come back in
-    the same preorder the serial scan mutates in, so applying them batch
-    by batch reproduces the serial scan bit for bit — including the row
-    order of held and family stores.
+    The read-only half of :func:`stream_batch`: it touches only immutable
+    node state (criteria, bucket edges), so any number of batches can be
+    processed concurrently.  Deltas come back in preorder, so applying
+    them batch by batch in scan order reproduces the same skeleton at any
+    concurrency — including the row order of held and family stores.
     """
     deltas: list[NodeDelta] = []
     _collect_deltas(root, batch, schema, deltas, kernels)
@@ -407,22 +378,29 @@ def _collect_deltas(
     _collect_deltas(right, batch[above], schema, out, kernels)
 
 
-def apply_batch_delta(deltas: list[NodeDelta]) -> None:
-    """Apply one batch's deltas to the skeleton (insertion only).
+def apply_batch_delta(deltas: list[NodeDelta], sign: int = 1) -> None:
+    """Add (``sign=+1``) or retract (``sign=-1``) one batch's deltas.
 
     Must run in the parent thread; callers preserve scan order by
-    applying whole batches in the order they were scanned.
+    applying whole batches in the order they were scanned.  Retraction
+    removes the delta's held/family rows from the node stores.
     """
     for delta in deltas:
         node = delta.node
-        _add_counts(node, delta)
+        _add_counts(node, delta, sign)
         if delta.below_counts is not None:
-            node.below_counts += delta.below_counts
-            node.above_counts += delta.above_counts
-        if delta.held_rows is not None:
-            node.held.append(delta.held_rows)
-        if delta.family_rows is not None:
-            node.family_store.append(delta.family_rows)
+            node.below_counts += sign * delta.below_counts
+            node.above_counts += sign * delta.above_counts
+        for store, rows in (
+            (node.held, delta.held_rows),
+            (node.family_store, delta.family_rows),
+        ):
+            if rows is None:
+                continue
+            if sign > 0:
+                store.append(rows)
+            else:
+                _remove_from_store(store, rows)
 
 
 def _remove_from_store(store: TupleStore, records: np.ndarray) -> None:

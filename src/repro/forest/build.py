@@ -17,10 +17,10 @@ split selection method:
   (:func:`repro.core.shared_cleanup_scan`): every source batch is
   expanded through each member's weight vector (`expand_batch`, the same
   chunking a standalone :class:`~repro.forest.ResampleTable` scan
-  produces) and streamed through that member's skeleton.  With a worker
-  pool, members fan out across threads — skeletons are disjoint, and a
-  per-batch barrier keeps each member's stream order identical at any
-  worker count;
+  produces) and routed through that member's skeleton.  With a worker
+  pool, (batch, member) routing tasks fan out across threads, and the
+  driving thread commits them in scan order, which keeps each member's
+  stream order identical at any worker count;
 * finalization runs per member, exactly as standalone.
 
 The per-member guarantee is the point: every member tree is
@@ -48,7 +48,12 @@ from ..config import BoatConfig, SplitConfig
 from ..core.bootstrap import SamplingReport, sampling_phase
 from ..core.cleanup import shared_cleanup_scan
 from ..core.finalize import FinalizeReport, finalize_tree
-from ..core.state import BoatMethod, require_boat_method, stream_batch
+from ..core.state import (
+    BoatMethod,
+    apply_batch_delta,
+    compute_batch_delta,
+    require_boat_method,
+)
 from ..exceptions import ReproError, SplitSelectionError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
@@ -322,26 +327,30 @@ def forest_build(
                 skeleton = skeletons[m]
                 store = oob_stores[m] if oob_stores is not None else None
 
-                def sink(batch: np.ndarray, offset: int) -> None:
+                def sink(batch: np.ndarray, offset: int):
                     w = weights[offset : offset + len(batch)]
-                    for chunk in expand_batch(
-                        batch, w, boat_config.batch_rows
-                    ):
-                        stream_batch(
-                            skeleton, chunk, schema, sign=1, kernels=kernels
+                    # One delta list per expand_batch chunk, applied chunk
+                    # by chunk: pins QUEST's float summation order.
+                    chunk_deltas = [
+                        compute_batch_delta(skeleton, chunk, schema, kernels)
+                        for chunk in expand_batch(
+                            batch, w, boat_config.batch_rows
                         )
-                    if store is not None:
-                        zero = w == 0
-                        if zero.any():
-                            store.append(batch[zero])
+                    ]
+
+                    def commit() -> None:
+                        for deltas in chunk_deltas:
+                            apply_batch_delta(deltas)
+                        if store is not None:
+                            zero = w == 0
+                            if zero.any():
+                                store.append(batch[zero])
+
+                    return commit
 
                 return sink
 
-            with WorkerPool(
-                boat_config.n_workers,
-                "thread" if boat_config.n_workers != 1 else "serial",
-                tracer=tracer,
-            ) as pool:
+            with WorkerPool(boat_config.n_workers, "thread", tracer=tracer) as pool:
                 report.workers = pool.n_workers
                 shared_cleanup_scan(
                     table,

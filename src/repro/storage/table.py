@@ -554,15 +554,11 @@ class DiskTable(Table):
         ):
             self._io_stats.record_full_scan()
 
-    def read_slice(
-        self, start: int, stop: int, io_stats: IOStats | None = None
-    ) -> np.ndarray:
+    def read_slice(self, start: int, stop: int) -> np.ndarray:
         """Read records ``[start, stop)`` by offset (charged as reads).
 
-        ``io_stats`` redirects the charge away from the table's shared
-        instance — parallel scan workers each charge a private counter
-        and merge it back in deterministic order.  Each call opens its
-        own file handle, so concurrent slice reads are safe.
+        Each call opens its own file handle, so concurrent slice reads
+        are safe.
         """
         self._check_open()
         if not 0 <= start <= stop <= self._n_rows:
@@ -576,9 +572,8 @@ class DiskTable(Table):
             raise StorageError(f"{self._path}: short read in read_slice")
         batch = np.frombuffer(raw, dtype=dtype)
         self._throttle(len(raw))
-        charge = io_stats if io_stats is not None else self._io_stats
-        if charge is not None:
-            charge.record_read(len(batch), len(raw))
+        if self._io_stats is not None:
+            self._io_stats.record_read(len(batch), len(raw))
         return batch
 
     def close(self) -> None:

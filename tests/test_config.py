@@ -45,6 +45,7 @@ class TestBoatConfig:
             {"bucket_budget": 1},
             {"spill_threshold_rows": 0},
             {"batch_rows": 0},
+            {"sql_pushdown": True, "checkpoint_dir": "ckpt"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

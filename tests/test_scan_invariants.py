@@ -104,7 +104,7 @@ class TestBoatTwoScans:
             trees[workers] = tree_to_json(result.tree)
         assert trees[1] == trees[2] == trees[4]  # byte-identical output
 
-    def test_worker_spans_break_down_the_cleanup_scan(
+    def test_parallel_cleanup_span_counts_one_scan(
         self, small_schema, gini_method, default_split_config, tmp_path
     ):
         io = IOStats()
@@ -121,13 +121,12 @@ class TestBoatTwoScans:
             parallel_backend="thread",
         )
         boat_build(table, gini_method, default_split_config, config, tracer=tracer)
+        # One reader in the driving thread: the table charges the whole
+        # scan to the cleanup span while routing runs on two workers.
         cleanup = tracer.report().find("cleanup")
-        workers = [c for c in cleanup.children if c.name.startswith("worker-")]
-        assert 1 <= len(workers) <= 2
-        # Worker spans partition the scan's reads: every one of the 8000
-        # rows was read by exactly one worker.
-        assert sum(w.tuples_read for w in workers) == cleanup.tuples_read == 8000
-        assert sum(w.attributes["batches"] for w in workers) == 8
+        assert cleanup.attributes["workers"] == 2
+        assert cleanup.tuples_read == 8000
+        assert cleanup.full_scans == 1
 
 
 class TestRainForestScansPerLevel:

@@ -213,6 +213,25 @@ class TestCliSqlBackend:
         assert out_sql.read_bytes() == out_disk.read_bytes()
         assert out_push.read_bytes() == out_disk.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    def test_pushdown_rejected_for_checkpointed_build(
+        self, flag, tmp_path, capsys
+    ):
+        db = tmp_path / "x.db"
+        ckpt = tmp_path / "ckpt"
+        args = ["--n", "1500", "--function", "2", "--seed", "4"]
+        assert cli_main(["generate", str(db), "--backend", "sql", *args]) == 0
+        capsys.readouterr()
+        code = cli_main(
+            [
+                "build", str(db), str(tmp_path / "out.json"),
+                "--sample-size", "400", "--sql-pushdown", flag, str(ckpt),
+            ]
+        )
+        assert code == 1
+        assert "error: sql_pushdown" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.db"]
+
     def test_sql_backend_rejected_for_sharded_build(self, tmp_path, capsys):
         code = cli_main(
             [

@@ -430,6 +430,34 @@ class TestPushdownCleanup:
         assert io.tuples_read == 400
         assert progress_rows[-1] == 400
 
+    @pytest.mark.parametrize("bounds", [{"start_row": 64}, {"stop_row": 200}])
+    def test_pushdown_refuses_a_sub_range(self, bounds):
+        schema = make_schema()
+        root = build_skeleton(schema, BoatConfig())
+        table = fill_sql(schema, skeleton_data(schema))
+        with pytest.raises(ValueError, match="sub-range"):
+            cleanup_scan(root, table, schema, 64, sql_pushdown=True, **bounds)
+        assert root.n_tuples == 0
+
+    def test_non_sql_table_falls_back_to_the_streamed_scan(self):
+        schema = make_schema()
+        batch = skeleton_data(schema)
+        roots = []
+        for pushdown in (False, True):
+            root = build_skeleton(schema, BoatConfig())
+            table = MemoryTable(schema, batch)
+            cleanup_scan(root, table, schema, 64, sql_pushdown=pushdown)
+            roots.append(root)
+        for ours, theirs in zip(*(r.nodes() for r in roots)):
+            assert np.array_equal(ours.class_counts, theirs.class_counts)
+            for store_name in ("held", "family_store"):
+                store = getattr(theirs, store_name)
+                if store is not None:
+                    assert (
+                        getattr(ours, store_name).read_all().tobytes()
+                        == store.read_all().tobytes()
+                    )
+
     def test_routing_expression_parameter_order(self):
         schema = make_schema()
         root = build_skeleton(schema, BoatConfig())
