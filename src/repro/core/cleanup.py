@@ -11,7 +11,10 @@ incremental rebuild, and the shared scans of forests and cross-validation
   one sequential device and the table charges its own I/O counters;
 * each (batch, sink) pair is one pure task on :meth:`WorkerPool.imap`.
   A sink routes the batch against immutable skeleton state (criteria,
-  bucket edges) and returns a *commit* closure;
+  bucket edges) and returns a *commit* closure; a skeleton sink compiles
+  its skeleton once per scan (:func:`~repro.core.terminals.compile_skeleton`)
+  and turns each batch into per-node deltas with the terminal-partition
+  kernel;
 * the driving thread runs every commit in submission order — which keeps
   held/family store row order and QUEST's float summation order equal to
   the serial scan's — and calls ``progress`` after a batch's last commit.
@@ -25,15 +28,16 @@ shipping them across process boundaries would cost more than the routing
 it saves.  The result is bit-identical to the serial scan at any worker
 count.
 
-Shared routing kernel: the *level-wise* cleanup scans (RainForest and
-QUEST, which route finished batches down a frozen partial
-:class:`~repro.tree.DecisionTree`) go through the serving layer's
-compiled array kernel — ``tree.compile()`` /
-:class:`repro.serve.CompiledPredictor` — so production inference and
-the training scans exercise one routing implementation.  BOAT's own
-cleanup scan keeps its delta path: it routes down the mutable
-*skeleton* (confidence intervals, held stores), which is per-node state
-the read-only compiled form deliberately does not carry.
+Routing kernels: BOAT's cleanup routes every batch once, down the
+*skeleton* (confidence intervals, held stores): each row goes to its
+terminal (a held or family store), the batch is partitioned by terminal
+in preorder, and every node's counts come from one keyed count per
+statistic (:mod:`repro.core.terminals`).  The *level-wise* cleanup scans
+(RainForest and QUEST, which route finished batches down a frozen
+partial :class:`~repro.tree.DecisionTree`) go through the serving
+layer's compiled array kernel — ``tree.compile()`` /
+:class:`repro.serve.CompiledPredictor` — which carries no confidence
+intervals or stores.
 
 Recovery hooks: a resumed build passes ``start_row`` (the checkpointed
 scan offset — rows before it were already accumulated by the crashed
@@ -58,7 +62,8 @@ from ..kernels import DEFAULT_KERNELS, KernelBackend
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..parallel import WorkerPool
 from ..storage import Schema, Table, bounded_scan
-from .state import BoatNode, apply_batch_delta, compute_batch_delta
+from .state import BoatNode, apply_batch_delta
+from .terminals import compile_skeleton
 
 #: Progress callback: absolute rows scanned so far (start_row included).
 ProgressFn = Callable[[int], None]
@@ -89,9 +94,10 @@ def skeleton_sink(
     root: BoatNode, schema: Schema, kernels: KernelBackend = DEFAULT_KERNELS
 ) -> SinkFn:
     """The sink of a single-skeleton scan: route the whole batch."""
+    plan = compile_skeleton(root, schema)
 
     def sink(batch: np.ndarray, offset: int) -> CommitFn:
-        deltas = compute_batch_delta(root, batch, schema, kernels)
+        deltas = plan.deltas(batch, kernels)
         return lambda: apply_batch_delta(deltas)
 
     return sink

@@ -27,13 +27,15 @@ import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import SplitSelectionError
+from ..kernels import get_kernels
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import CLASS_COLUMN, Table
 from ..tree import DecisionTree, build_reference_tree
 from .bootstrap import sampling_phase
 from .cleanup import shared_cleanup_scan
 from .finalize import finalize_tree
-from .state import apply_batch_delta, compute_batch_delta
+from .state import apply_batch_delta
+from .terminals import compile_skeleton
 
 
 @dataclass
@@ -115,10 +117,14 @@ def boat_cross_validate(
             skeletons.append(result.root)
 
         # -- scan 2: shared cleanup scan ---------------------------------
+        kernels = get_kernels(boat_config.kernel_backend)
+
         def fold_sink(fold: int, skeleton):
+            plan = compile_skeleton(skeleton, schema)
+
             def sink(batch: np.ndarray, offset: int):
                 folds = (offset + np.arange(len(batch))) % k
-                deltas = compute_batch_delta(skeleton, batch[folds != fold], schema)
+                deltas = plan.deltas(batch[folds != fold], kernels)
                 return lambda: apply_batch_delta(deltas)
 
             return sink

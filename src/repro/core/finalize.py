@@ -161,7 +161,7 @@ class Finalizer:
         return final
 
     def _compute(self, node: BoatNode, inherited: np.ndarray, is_root: bool) -> Node:
-        stats = effective_stats(node, inherited, self._schema)
+        stats = effective_stats(node, inherited, self._schema, self._kernels)
         counts = np.asarray(stats.class_counts, dtype=np.int64)
         if node.is_frontier:
             return self._complete_frontier(node, inherited, counts)

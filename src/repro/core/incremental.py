@@ -32,6 +32,7 @@ import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..exceptions import TreeStructureError
+from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, Schema, Table
@@ -39,7 +40,8 @@ from ..tree import DecisionTree
 from .bootstrap import sampling_phase
 from .cleanup import cleanup_scan
 from .finalize import FinalizeReport, Finalizer, config_at_depth
-from .state import BoatNode, collect_family, reject_float_moments, stream_batch
+from .state import BoatNode, apply_batch_delta, collect_family, reject_float_moments
+from .terminals import SkeletonPlan, compile_skeleton
 
 
 #: Per-update reports (and drift lines) a maintainer keeps: the most
@@ -79,6 +81,7 @@ class IncrementalBoat:
         self._method = method
         self._split_config = split_config or SplitConfig()
         self._config = boat_config or BoatConfig()
+        self._kernels = get_kernels(self._config.kernel_backend)
         self._spill_dir = spill_dir
         self._io = io_stats
         if tracer is None:
@@ -90,6 +93,8 @@ class IncrementalBoat:
         self._node_ids = itertools.count(1_000_000)
         self._rng = np.random.default_rng(self._config.seed)
         self._skeleton: BoatNode | None = None
+        #: The last compiled skeleton, keyed by its nodes' identities.
+        self._plan: tuple[tuple[int, ...], SkeletonPlan] | None = None
         self._tree: DecisionTree | None = None
         self._n_rows = 0
         #: The most recent :data:`REPORT_HISTORY` update reports, oldest first.
@@ -179,6 +184,7 @@ class IncrementalBoat:
                 self._schema,
                 self._config.batch_rows,
                 tracer=self.tracer,
+                kernels=self._kernels,
             )
             self._n_rows = len(table)
             report = self._finalize()
@@ -202,13 +208,7 @@ class IncrementalBoat:
         with self.tracer.span(
             "incremental", operation=operation, chunk_size=len(chunk)
         ):
-            for offset in range(0, len(chunk), self._config.batch_rows):
-                stream_batch(
-                    self._skeleton,
-                    chunk[offset : offset + self._config.batch_rows],
-                    self._schema,
-                    sign=sign,
-                )
+            self._stream(self._skeleton, chunk, sign)
             self._n_rows += sign * len(chunk)
             if sign > 0:
                 self._deepen_frontiers()
@@ -349,14 +349,23 @@ class IncrementalBoat:
             for sub in node.nodes():
                 sub.node_id = next(self._node_ids)
                 sub.depth += depth
-        for offset in range(0, len(family), self._config.batch_rows):
-            stream_batch(
-                node,
-                family[offset : offset + self._config.batch_rows],
-                self._schema,
-                sign=1,
-            )
+        self._stream(node, family, sign=1)
         return node
+
+    def _stream(self, root: BoatNode, rows: np.ndarray, sign: int) -> None:
+        """Route ``rows`` down ``root``'s skeleton batch by batch, applying.
+
+        The compiled skeleton is reused while the skeleton keeps the same
+        nodes; a rebuild or a deepened frontier brings new node objects
+        (the cached plan holds the old ones, so their ids stay unique).
+        """
+        shape = tuple(map(id, root.nodes()))
+        if self._plan is None or self._plan[0] != shape:
+            self._plan = (shape, compile_skeleton(root, self._schema))
+        plan = self._plan[1]
+        step = self._config.batch_rows
+        for offset in range(0, len(rows), step):
+            apply_batch_delta(plan.deltas(rows[offset : offset + step], self._kernels), sign)
 
     # -- inspection ---------------------------------------------------------------------
 

@@ -6,7 +6,10 @@ the confidence interval, or NaN) or the family store of a frontier node.
 That makes the terminal a GROUP BY key: routing is a nested SQL ``CASE``
 expression mapping each row to its terminal's node id
 (:func:`routing_expression`), and every per-node statistic the cleanup
-scan accumulates is a sum of per-terminal grouped counts —
+scan accumulates is a sum of per-terminal grouped counts over the node's
+subtree range (the preorder terminal numbering of
+:mod:`repro.core.terminals`, shared with the streamed scan's batch
+kernel) —
 
 * ``class_counts(n)``      = Σ histograms over terminals in subtree(n),
 * ``below_counts(n)``      = Σ over subtree(n.left)  (``above``: right),
@@ -37,17 +40,10 @@ from ..kernels.sql import SqlAggregations
 from ..storage.schema import Schema
 from .coarse import CoarseCategorical, CoarseNumeric
 from .state import BoatNode
+from .terminals import SkeletonPlan, compile_skeleton
 
 #: Progress callback: absolute rows exported so far (matches cleanup_scan).
 ProgressFn = Callable[[int], None]
-
-
-def _is_terminal(node: BoatNode) -> bool:
-    return node.is_frontier or isinstance(node.criterion, CoarseNumeric)
-
-
-def _subtree_terminals(node: BoatNode) -> list[int]:
-    return [n.node_id for n in node.nodes() if _is_terminal(n)]
 
 
 def routing_expression(
@@ -105,8 +101,12 @@ def sql_pushdown_scan(
     quote = table.dialect.quote
     route_sql, route_params = routing_expression(root, schema, quote)
     k = schema.n_classes
-    nodes = list(root.nodes())
-    terminals = {node.node_id: _subtree_terminals(node) for node in nodes}
+    plan = compile_skeleton(root, schema)
+    nodes = plan.nodes
+    terminals = {
+        node.node_id: [t.node_id for t in plan.subtree_terminals(node)]
+        for node in nodes
+    }
 
     histograms = aggregations.grouped_class_histograms(
         route_sql, route_params, k
@@ -156,15 +156,12 @@ def sql_pushdown_scan(
                 terminals[node.node_id],
             )
 
-    _export_held_rows(
-        root, table, schema, batch_rows, route_sql, route_params, progress
-    )
+    _export_held_rows(plan, table, batch_rows, route_sql, route_params, progress)
 
 
 def _export_held_rows(
-    root: BoatNode,
+    plan: SkeletonPlan,
     table,
-    schema: Schema,
     batch_rows: int,
     route_sql: str,
     route_params: list,
@@ -173,8 +170,7 @@ def _export_held_rows(
     """The one row-export pass: held/family tuples, in global scan order."""
     stores = {
         node.node_id: node.held if node.held is not None else node.family_store
-        for node in root.nodes()
-        if _is_terminal(node)
+        for node in plan.terminals
     }
     cursor = table.execute(
         f"SELECT {route_sql} AS __node, {table.select_columns_sql} "

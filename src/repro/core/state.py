@@ -34,11 +34,10 @@ from ..config import BoatConfig
 from ..exceptions import SplitSelectionError, StorageError
 from ..kernels import DEFAULT_KERNELS, KernelBackend
 from ..storage import CLASS_COLUMN, IOStats, Schema, TupleStore
-from ..splits.categorical import category_class_counts
 from ..splits.methods import ImpuritySplitSelection
 from ..splits.quest import QuestSplitSelection
 from .coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
-from .discretize import bucket_index
+from .terminals import NodeDelta, compile_skeleton, numeric_moments
 
 
 #: The split selection methods BOAT instantiates: impurity-based (§3)
@@ -250,47 +249,7 @@ def stream_batch(
     apply_batch_delta(compute_batch_delta(node, batch, schema, kernels), sign)
 
 
-def _count_deltas(
-    node: BoatNode,
-    batch: np.ndarray,
-    schema: Schema,
-    kernels: KernelBackend = DEFAULT_KERNELS,
-) -> "NodeDelta":
-    """Per-node statistics increments for a batch, computed without mutation."""
-    labels = batch[CLASS_COLUMN]
-    k = schema.n_classes
-    class_delta = kernels.class_histogram(labels, k)
-    cat_deltas = {
-        index: kernels.category_class_counts(
-            batch[schema[index].name], labels, matrix.shape[0], k
-        )
-        for index, matrix in node.cat_counts.items()
-    }
-    bucket_deltas = {}
-    for index, counts in node.bucket_counts.items():
-        edges = node.bucket_edges[index]
-        bucket_deltas[index] = kernels.bucket_class_counts(
-            edges, batch[schema[index].name], labels, k
-        )
-    moments = None if node.moments is None else _moments(batch, schema, kernels)
-    return NodeDelta(node, class_delta, cat_deltas, bucket_deltas, moments=moments)
-
-
-def _moments(
-    batch: np.ndarray, schema: Schema, kernels: KernelBackend = DEFAULT_KERNELS
-) -> np.ndarray:
-    """(2, n_numeric, k) per-class sums and sums of squares of a batch."""
-    labels = batch[CLASS_COLUMN]
-    k = schema.n_classes
-    out = np.empty((2, len(schema.numerical_attributes), k))
-    for i, attr in enumerate(schema.numerical_attributes):
-        out[0, i], out[1, i] = kernels.quest_numeric_moments(
-            batch[attr.name], labels, k
-        )
-    return out
-
-
-def _add_counts(node: BoatNode, delta: "NodeDelta", sign: int = 1) -> None:
+def _add_counts(node: BoatNode, delta: NodeDelta, sign: int = 1) -> None:
     """Add (``sign=+1``) or retract (``sign=-1``) one delta's statistics.
 
     Each statistic takes one ``+=`` per batch in scan order, which pins
@@ -306,26 +265,6 @@ def _add_counts(node: BoatNode, delta: "NodeDelta", sign: int = 1) -> None:
         node.moments += sign * delta.moments
 
 
-@dataclass
-class NodeDelta:
-    """One node's pending statistics update for one scanned batch.
-
-    Produced by :func:`compute_batch_delta` (thread-safe, no mutation)
-    and consumed by :func:`apply_batch_delta` (parent-only mutation).
-    The row arrays are views into the scanned batch.
-    """
-
-    node: BoatNode
-    class_counts: np.ndarray
-    cat_counts: dict[int, np.ndarray]
-    bucket_counts: dict[int, np.ndarray]
-    below_counts: np.ndarray | None = None
-    above_counts: np.ndarray | None = None
-    held_rows: np.ndarray | None = None
-    family_rows: np.ndarray | None = None
-    moments: np.ndarray | None = None
-
-
 def compute_batch_delta(
     root: BoatNode,
     batch: np.ndarray,
@@ -334,48 +273,15 @@ def compute_batch_delta(
 ) -> list[NodeDelta]:
     """Route a batch down the skeleton, collecting deltas instead of mutating.
 
-    The read-only half of :func:`stream_batch`: it touches only immutable
-    node state (criteria, bucket edges), so any number of batches can be
-    processed concurrently.  Deltas come back in preorder, so applying
-    them batch by batch in scan order reproduces the same skeleton at any
-    concurrency — including the row order of held and family stores.
+    The read-only half of :func:`stream_batch`: compiles the skeleton
+    (:func:`~repro.core.terminals.compile_skeleton`) and runs its batch
+    kernel.  Scans that route many batches through one skeleton compile
+    it once and call :meth:`~repro.core.terminals.SkeletonPlan.deltas`.
+    Deltas come back in preorder, so applying them batch by batch in scan
+    order reproduces the same skeleton at any concurrency — including the
+    row order of held and family stores.
     """
-    deltas: list[NodeDelta] = []
-    _collect_deltas(root, batch, schema, deltas, kernels)
-    return deltas
-
-
-def _collect_deltas(
-    node: BoatNode,
-    batch: np.ndarray,
-    schema: Schema,
-    out: list[NodeDelta],
-    kernels: KernelBackend = DEFAULT_KERNELS,
-) -> None:
-    if batch.size == 0:
-        return
-    delta = _count_deltas(node, batch, schema, kernels)
-    out.append(delta)
-    if node.criterion is None:
-        delta.family_rows = batch
-        return
-    if isinstance(node.criterion, CoarseCategorical):
-        go_left = node.criterion.go_left(batch, schema, kernels)
-        left, right = node.children()
-        _collect_deltas(left, batch[go_left], schema, out, kernels)
-        _collect_deltas(right, batch[~go_left], schema, out, kernels)
-        return
-    below, held, above = node.criterion.masks(batch, schema, kernels)
-    labels = batch[CLASS_COLUMN]
-    k = schema.n_classes
-    delta.below_counts = kernels.class_histogram(labels[below], k)
-    delta.above_counts = kernels.class_histogram(labels[above], k)
-    held_batch = batch[held]
-    if held_batch.size:
-        delta.held_rows = held_batch
-    left, right = node.children()
-    _collect_deltas(left, batch[below], schema, out, kernels)
-    _collect_deltas(right, batch[above], schema, out, kernels)
+    return compile_skeleton(root, schema).deltas(batch, kernels)
 
 
 def apply_batch_delta(deltas: list[NodeDelta], sign: int = 1) -> None:
@@ -480,9 +386,16 @@ class EffectiveStats:
 
 
 def effective_stats(
-    node: BoatNode, inherited: np.ndarray, schema: Schema
+    node: BoatNode,
+    inherited: np.ndarray,
+    schema: Schema,
+    kernels: KernelBackend = DEFAULT_KERNELS,
 ) -> EffectiveStats:
-    """Combine persistent statistics with re-routed ancestor-held tuples."""
+    """Combine persistent statistics with re-routed ancestor-held tuples.
+
+    The inherited tuples are counted with the scan's kernel primitives:
+    ``bucket_class_counts`` buckets them with the same exact bucketizer.
+    """
     k = schema.n_classes
     empty = inherited[:0]
     if node.criterion is None:
@@ -490,12 +403,14 @@ def effective_stats(
         above = empty
         held_own = None
     elif isinstance(node.criterion, CoarseCategorical):
-        go_left = node.criterion.go_left(inherited, schema)
+        go_left = node.criterion.go_left(inherited, schema, kernels)
         below = inherited[go_left]
         above = inherited[~go_left]
         held_own = None
     else:
-        below_mask, held_mask, above_mask = node.criterion.masks(inherited, schema)
+        below_mask, held_mask, above_mask = node.criterion.masks(
+            inherited, schema, kernels
+        )
         below = inherited[below_mask]
         above = inherited[above_mask]
         held_own = inherited[held_mask]
@@ -509,31 +424,32 @@ def effective_stats(
         above_counts = node.above_counts
     else:
         labels = inherited[CLASS_COLUMN]
-        class_counts = node.class_counts + np.bincount(labels, minlength=k)
-        cat_counts = {}
-        for index, matrix in node.cat_counts.items():
-            cat_counts[index] = matrix + category_class_counts(
+        class_counts = node.class_counts + kernels.class_histogram(labels, k)
+        cat_counts = {
+            index: matrix
+            + kernels.category_class_counts(
                 inherited[schema[index].name], labels, matrix.shape[0], k
             )
-        bucket_counts = {}
-        for index, counts in node.bucket_counts.items():
-            edges = node.bucket_edges[index]
-            buckets = bucket_index(edges, inherited[schema[index].name])
-            flat = np.bincount(
-                buckets * k + labels, minlength=counts.size
-            ).reshape(counts.shape)
-            bucket_counts[index] = counts + flat
+            for index, matrix in node.cat_counts.items()
+        }
+        bucket_counts = {
+            index: counts
+            + kernels.bucket_class_counts(
+                node.bucket_edges[index], inherited[schema[index].name], labels, k
+            )
+            for index, counts in node.bucket_counts.items()
+        }
         moments = node.moments
         if moments is not None:
-            moments = moments + _moments(inherited, schema)
+            moments = moments + numeric_moments(inherited, labels, schema, kernels)
         below_counts = node.below_counts
         above_counts = node.above_counts
         if isinstance(node.criterion, CoarseNumeric):
-            below_counts = node.below_counts + np.bincount(
-                below[CLASS_COLUMN], minlength=k
+            below_counts = node.below_counts + kernels.class_histogram(
+                below[CLASS_COLUMN], k
             )
-            above_counts = node.above_counts + np.bincount(
-                above[CLASS_COLUMN], minlength=k
+            above_counts = node.above_counts + kernels.class_histogram(
+                above[CLASS_COLUMN], k
             )
 
     if isinstance(node.criterion, CoarseNumeric):

@@ -51,9 +51,9 @@ from ..core.finalize import FinalizeReport, finalize_tree
 from ..core.state import (
     BoatMethod,
     apply_batch_delta,
-    compute_batch_delta,
     require_boat_method,
 )
+from ..core.terminals import compile_skeleton
 from ..exceptions import ReproError, SplitSelectionError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
@@ -324,7 +324,7 @@ def forest_build(
 
             def member_sink(m: int):
                 weights = plans[m].weights
-                skeleton = skeletons[m]
+                routing = compile_skeleton(skeletons[m], schema)
                 store = oob_stores[m] if oob_stores is not None else None
 
                 def sink(batch: np.ndarray, offset: int):
@@ -332,7 +332,7 @@ def forest_build(
                     # One delta list per expand_batch chunk, applied chunk
                     # by chunk: pins QUEST's float summation order.
                     chunk_deltas = [
-                        compute_batch_delta(skeleton, chunk, schema, kernels)
+                        routing.deltas(chunk, kernels)
                         for chunk in expand_batch(
                             batch, w, boat_config.batch_rows
                         )

@@ -6,8 +6,8 @@ collection, and the RainForest AVC constructors are written against.  Two
 implementations exist:
 
 * :class:`repro.kernels.vectorized.NumpyKernels` — the production fast
-  path: whole-batch numpy array operations (bincount, searchsorted,
-  cumsum, boolean masks).
+  path: whole-batch numpy array operations (bincount, the exact grid
+  bucketizer of :mod:`repro.kernels.grid`, cumsum, boolean masks).
 * :class:`repro.kernels.reference.PythonKernels` — the per-row reference
   oracle: explicit Python loops over individual tuples, written to be
   obviously faithful to the paper's per-tuple description.
@@ -32,6 +32,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..splits.impurity import ImpurityMeasure
+    from .grid import GridBucketizer
 
 
 class KernelBackend(ABC):
@@ -68,18 +69,25 @@ class KernelBackend(ABC):
     @abstractmethod
     def bucket_class_counts(
         self,
-        edges: np.ndarray,
+        edges: "np.ndarray | GridBucketizer",
         values: np.ndarray,
         labels: np.ndarray,
         n_classes: int,
+        groups: np.ndarray | None = None,
+        n_groups: int = 1,
     ) -> np.ndarray:
         """Joint (bucket, class) counts of a numeric column.
 
-        ``edges`` is a sorted, NaN-free 1-D array of m bucket boundaries;
-        row i of the (m + 1, k) int64 result counts tuples falling in
-        bucket i under left-bisection (``edges[i-1] <= v < edges[i]``
-        boundary convention of :func:`numpy.searchsorted` with
-        ``side="left"``).  NaN values land in the last bucket.
+        ``edges`` is a sorted, NaN-free 1-D array of m bucket boundaries,
+        or a :class:`~repro.kernels.grid.GridBucketizer` compiled from
+        them (its ``edges``); row i of the (m + 1, k) int64 result counts
+        tuples in bucket i, the number of edges strictly below the value
+        (:func:`numpy.searchsorted` with ``side="left"``).  NaN values
+        land in the last bucket.
+
+        With ``groups`` (one int in ``[0, n_groups)`` per value) the
+        result is (n_groups, m + 1, k): one keyed count per group — the
+        cleanup scan's per-terminal pass.
         """
 
     # ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .base import KernelBackend
+from .grid import GridBucketizer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..splits.impurity import ImpurityMeasure
@@ -79,22 +80,27 @@ class PythonKernels(KernelBackend):
 
     def bucket_class_counts(
         self,
-        edges: np.ndarray,
+        edges: np.ndarray | GridBucketizer,
         values: np.ndarray,
         labels: np.ndarray,
         n_classes: int,
+        groups: np.ndarray | None = None,
+        n_groups: int = 1,
     ) -> np.ndarray:
+        if isinstance(edges, GridBucketizer):
+            edges = edges.edges
         edge_list = [float(e) for e in edges.tolist()]
         m = len(edge_list)
-        counts = np.zeros((m + 1, n_classes), dtype=np.int64)
-        for v, label in zip(values.tolist(), labels.tolist()):
+        counts = np.zeros((n_groups, m + 1, n_classes), dtype=np.int64)
+        keys = [0] * len(values) if groups is None else groups.tolist()
+        for g, v, label in zip(keys, values.tolist(), labels.tolist()):
             if math.isnan(v):
                 # NaN sorts after every edge under numpy's searchsorted.
                 bucket = m
             else:
                 bucket = _bisect_left(edge_list, v)
-            counts[bucket, label] += 1
-        return counts
+            counts[g, bucket, label] += 1
+        return counts[0] if groups is None else counts
 
     def interval_masks(
         self, values: np.ndarray, low: float, high: float

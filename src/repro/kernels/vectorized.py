@@ -2,11 +2,12 @@
 
 Each kernel is the whole-batch array formulation of the corresponding
 per-row primitive in :mod:`repro.kernels.reference` — bincount for
-histograms, flattened bincount for contingency matrices, searchsorted for
-bucketing, stable argsort + per-class cumsum for the numeric candidate
-sweep.  These are the exact array expressions the cleanup scan and the
-reference builder historically inlined; centralizing them here makes the
-backend switch a pure dispatch decision with bit-identical results.
+histograms, flattened bincount for contingency matrices, the exact grid
+bucketizer (:mod:`repro.kernels.grid`) for bucketing, stable argsort +
+per-class cumsum for the numeric candidate sweep.  These are the exact
+array expressions the cleanup scan and the reference builder
+historically inlined; centralizing them here makes the backend switch a
+pure dispatch decision with bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .base import KernelBackend
+from .grid import GridBucketizer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..splits.impurity import ImpurityMeasure
@@ -36,21 +38,29 @@ class NumpyKernels(KernelBackend):
         domain_size: int,
         n_classes: int,
     ) -> np.ndarray:
-        flat = codes.astype(np.int64) * n_classes + labels
+        flat = codes.astype(np.int64, copy=False) * n_classes + labels
         counts = np.bincount(flat, minlength=domain_size * n_classes)
         return counts.reshape(domain_size, n_classes)
 
     def bucket_class_counts(
         self,
-        edges: np.ndarray,
+        edges: np.ndarray | GridBucketizer,
         values: np.ndarray,
         labels: np.ndarray,
         n_classes: int,
+        groups: np.ndarray | None = None,
+        n_groups: int = 1,
     ) -> np.ndarray:
-        buckets = np.searchsorted(edges, values, side="left")
-        size = (len(edges) + 1) * n_classes
-        flat = np.bincount(buckets * n_classes + labels, minlength=size)
-        return flat.reshape(len(edges) + 1, n_classes)
+        bucketize = edges if isinstance(edges, GridBucketizer) else GridBucketizer(edges)
+        width = len(bucketize.edges) + 1
+        keys = bucketize(values)
+        if groups is not None:
+            keys += groups * width
+        keys *= n_classes
+        keys += labels
+        flat = np.bincount(keys, minlength=n_groups * width * n_classes)
+        shape = (width, n_classes) if groups is None else (n_groups, width, n_classes)
+        return flat.reshape(shape)
 
     def interval_masks(
         self, values: np.ndarray, low: float, high: float
