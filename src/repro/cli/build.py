@@ -13,6 +13,7 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import ExitStack
 
 from ..config import KERNEL_BACKENDS, PARALLEL_BACKENDS, BoatConfig, SplitConfig
 from ..datagen import AgrawalConfig, AgrawalGenerator
@@ -142,31 +143,24 @@ def _build_sharded(
             from ..shard import resume_sharded_build as entry
         else:
             entry = sharded_boat_build
-        if args.shard_transport == "tcp":
-            from ..shard.rpc import LocalShardCluster
+        with ExitStack() as stack:
+            transport = args.shard_transport
+            if transport == "tcp":
+                from ..shard.rpc import LocalShardCluster
 
-            with LocalShardCluster(table.shard_paths) as cluster:
-                transport = make_transport(
-                    "tcp", table.shard_paths, addresses=cluster.addresses
-                )
-                with transport:
-                    result = entry(
-                        table,
-                        method,
-                        split_config,
-                        boat_config,
-                        tracer=tracer,
-                        transport=transport,
-                        shard_simulated_mbps=args.simulate_io_mbps,
+                cluster = stack.enter_context(LocalShardCluster(table.shard_paths))
+                transport = stack.enter_context(
+                    make_transport(
+                        "tcp", table.shard_paths, addresses=cluster.addresses
                     )
-        else:
+                )
             result = entry(
                 table,
                 method,
                 split_config,
                 boat_config,
                 tracer=tracer,
-                transport=args.shard_transport,
+                transport=transport,
                 shard_simulated_mbps=args.simulate_io_mbps,
             )
         report = result.shard_report

@@ -30,7 +30,9 @@ mid-scan without failing the build at all.  See ``docs/RECOVERY.md``.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,7 +46,12 @@ from ..tree import DecisionTree, build_reference_tree
 from .bootstrap import SamplingReport, sampling_phase
 from .cleanup import cleanup_scan, sql_source
 from .finalize import FinalizeReport, finalize_tree, prefetch_frontier_subtrees
-from .state import BoatMethod, reject_float_moments, require_boat_method
+from .state import (
+    BoatMethod,
+    BoatNode,
+    reject_float_moments,
+    require_boat_method,
+)
 from .workers import init_build_context
 
 
@@ -123,6 +130,102 @@ def _resolve_tracer(
     return NULL_TRACER
 
 
+class BuildHarness:
+    """What the BOAT drivers share around their own phases, once.
+
+    The flat and sharded builds and resumes and ``forest_build`` run
+    their phases between :meth:`start` and :meth:`stop`, which charge
+    wall time and I/O to ``report.wall_seconds[name]`` /
+    ``report.io[name]``.  The harness also resolves the tracer, runs the
+    ``finalize`` phase (:meth:`finalize`), maps a raw :class:`OSError`
+    to :class:`~repro.exceptions.StorageError` and releases every held
+    skeleton (:meth:`guard`), and attaches the trace (:meth:`done`).
+    """
+
+    def __init__(
+        self,
+        report,
+        io: IOStats | None,
+        tracer: Tracer | NullTracer | None,
+        boat_config: BoatConfig,
+        what: str,
+    ):
+        self.report = report
+        self.io = io
+        self.tracer = _resolve_tracer(tracer, boat_config, io)
+        self._what = what
+        self._held: list[BoatNode] = []
+        self._t0 = 0.0
+        self._io_before: IOStats | None = None
+
+    def start(self) -> None:
+        self._t0 = time.perf_counter()
+        self._io_before = self.io.snapshot() if self.io is not None else None
+
+    def stop(self, name: str) -> None:
+        self.report.wall_seconds[name] = time.perf_counter() - self._t0
+        if self.io is not None and self._io_before is not None:
+            self.report.io[name] = self.io.delta_since(self._io_before)
+
+    def hold(self, root: BoatNode) -> BoatNode:
+        """Release ``root``'s held/family stores when :meth:`guard` exits."""
+        self._held.append(root)
+        return root
+
+    @contextmanager
+    def guard(self) -> Iterator[None]:
+        try:
+            yield
+        except ReproError:
+            raise
+        except OSError as exc:
+            # A device/file error mid-build must not surface as a raw
+            # OSError with a half-built skeleton behind it.
+            raise StorageError(
+                f"I/O failure during {self._what}: {exc}"
+            ) from exc
+        finally:
+            # Success or failure, the skeletons' held/family stores (and
+            # any spill files they own) are torn down before we return.
+            for root in self._held:
+                root.release()
+
+    def finalize(
+        self,
+        call: Callable[[], tuple[DecisionTree, FinalizeReport]],
+        pool: WorkerPool | None = None,
+    ) -> DecisionTree:
+        """Run ``call`` — the driver's :func:`finalize_tree` call over its
+        fully counted skeleton — as the timed ``finalize`` phase.
+
+        ``pool`` is recorded as the report's worker pool.
+        """
+        self.start()
+        with self.tracer.span("finalize") as finalize_span:
+            tree, finalize_report = call()
+            finalize_span.set(
+                confirmed_splits=finalize_report.confirmed_splits,
+                frontier_completions=finalize_report.frontier_completions,
+                rebuilds=finalize_report.rebuilds,
+                tree_nodes=tree.n_nodes,
+            )
+        self.report.finalize = finalize_report
+        self.stop("finalize")
+        if pool is not None:
+            self.report.workers = pool.n_workers
+            self.report.parallel_backend = pool.backend
+        return tree
+
+    def done(self, checkpoint=None):
+        """Consume ``checkpoint`` (only a successful build does) and
+        attach the trace; returns the report."""
+        if checkpoint is not None:
+            checkpoint.finish()
+        if self.tracer.enabled:
+            self.report.trace = self.tracer.report()
+        return self.report
+
+
 def boat_build(
     table: Table,
     method: BoatMethod,
@@ -155,149 +258,111 @@ def boat_build(
         reject_float_moments(method, "a checkpointed build")
     if boat_config.sql_pushdown and sql_source(table) is not None:
         reject_float_moments(method, "the SQL aggregation pushdown")
+    # Recovery hooks (imported lazily: repro.recovery imports this module).
+    from ..recovery import CheckpointManager, build_digest, wrap_retry
+
     rng = np.random.default_rng(boat_config.seed)
     io = table.io_stats
-    tracer = _resolve_tracer(tracer, boat_config, io)
-    report = BoatReport(mode="boat", table_size=len(table))
-
-    # Recovery hooks (imported lazily: repro.recovery imports this module).
+    run = BuildHarness(
+        BoatReport(mode="boat", table_size=len(table)),
+        io,
+        tracer,
+        boat_config,
+        "BOAT construction",
+    )
+    tracer = run.tracer
     checkpoint = None
     durable_dir = None
-    scan_table: Table = table
-    if boat_config.checkpoint_dir or boat_config.scan_retries > 0:
-        from ..recovery import CheckpointManager, build_digest, wrap_retry
+    if boat_config.checkpoint_dir:
+        checkpoint = CheckpointManager(
+            boat_config.checkpoint_dir,
+            boat_config.checkpoint_every_batches,
+            tracer,
+        )
+        checkpoint.begin(
+            table.schema,
+            len(table),
+            build_digest(table.schema, len(table), split_config, boat_config),
+        )
+        durable_dir = checkpoint.spill_dir
+    scan_table = wrap_retry(table, boat_config, tracer)
 
-        if boat_config.checkpoint_dir:
-            checkpoint = CheckpointManager(
-                boat_config.checkpoint_dir,
-                boat_config.checkpoint_every_batches,
-                tracer,
+    with run.guard(), tracer.span("boat_build", table_size=len(table)):
+        # -- sampling phase --------------------------------------------------
+        run.start()
+        with tracer.span(
+            "sample", requested_rows=boat_config.sample_size
+        ) as sample_span:
+            sample = sample_table(
+                scan_table, boat_config.sample_size, rng, boat_config.batch_rows
             )
-            checkpoint.begin(
-                table.schema,
-                len(table),
-                build_digest(table.schema, len(table), split_config, boat_config),
-            )
-            durable_dir = checkpoint.spill_dir
-        scan_table = wrap_retry(table, boat_config, tracer)
-
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
-    result = None
-    try:
-        with tracer.span("boat_build", table_size=len(table)):
-            # -- sampling phase ----------------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "sample", requested_rows=boat_config.sample_size
-            ) as sample_span:
-                sample = sample_table(
-                    scan_table, boat_config.sample_size, rng, boat_config.batch_rows
+            sample_span.set(sample_rows=len(sample))
+        if len(sample) >= len(table):
+            # D fits in the sample: the paper's in-memory switch applies
+            # at the root; run the reference builder directly.
+            with tracer.span("in_memory_build"):
+                tree = build_reference_tree(
+                    sample, table.schema, method, split_config
                 )
-                sample_span.set(sample_rows=len(sample))
-            if len(sample) >= len(table):
-                # D fits in the sample: the paper's in-memory switch applies
-                # at the root; run the reference builder directly.
-                with tracer.span("in_memory_build"):
-                    tree = build_reference_tree(
-                        sample, table.schema, method, split_config
-                    )
-                phase("in_memory_build", t0, io_before)
-                report.mode = "in-memory"
-                if checkpoint is not None:
-                    checkpoint.finish()
-                if tracer.enabled:
-                    report.trace = tracer.report()
-                return BoatResult(tree=tree, report=report)
-            with make_build_pool(
-                sample, table.schema, method, split_config, boat_config, tracer
-            ) as pool:
-                result = sampling_phase(
-                    sample,
+            run.stop("in_memory_build")
+            run.report.mode = "in-memory"
+            return BoatResult(tree=tree, report=run.done(checkpoint))
+        with make_build_pool(
+            sample, table.schema, method, split_config, boat_config, tracer
+        ) as pool:
+            result = sampling_phase(
+                sample,
+                table.schema,
+                method,
+                split_config,
+                boat_config,
+                len(table),
+                rng,
+                spill_dir,
+                io,
+                pool=pool,
+                tracer=tracer,
+                durable_dir=durable_dir,
+            )
+            root = run.hold(result.root)
+            run.report.sampling = result.report
+            run.stop("sampling")
+            if checkpoint is not None:
+                # The skeleton is immutable from here on; persisting it
+                # now makes every later crash resumable.
+                checkpoint.save_skeleton(root)
+
+            # -- cleanup scan ------------------------------------------------
+            run.start()
+            cleanup_scan(
+                root,
+                scan_table,
+                table.schema,
+                boat_config.batch_rows,
+                pool,
+                tracer=tracer,
+                progress=(
+                    None if checkpoint is None else checkpoint.progress_hook(root)
+                ),
+                kernels=get_kernels(boat_config.kernel_backend),
+                sql_pushdown=boat_config.sql_pushdown,
+            )
+            run.stop("cleanup_scan")
+            if checkpoint is not None:
+                # Fully accumulated: a crash during finalization resumes
+                # with zero scan rows to re-read.
+                checkpoint.checkpoint_cleanup(root, len(table))
+
+            tree = run.finalize(
+                lambda: finalize_tree(
+                    root,
                     table.schema,
                     method,
                     split_config,
-                    boat_config,
-                    len(table),
-                    rng,
-                    spill_dir,
-                    io,
-                    pool=pool,
-                    tracer=tracer,
-                    durable_dir=durable_dir,
-                )
-                report.sampling = result.report
-                phase("sampling", t0, io_before)
-                if checkpoint is not None:
-                    # The skeleton is immutable from here on; persisting it
-                    # now makes every later crash resumable.
-                    checkpoint.save_skeleton(result.root)
-
-                # -- cleanup scan --------------------------------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                cleanup_scan(
-                    result.root,
-                    scan_table,
-                    table.schema,
-                    boat_config.batch_rows,
-                    pool,
-                    tracer=tracer,
-                    progress=(
-                        None
-                        if checkpoint is None
-                        else checkpoint.progress_hook(result.root)
+                    prefetch=prefetch_frontier_subtrees(
+                        root, table.schema, method, split_config, pool
                     ),
-                    kernels=get_kernels(boat_config.kernel_backend),
-                    sql_pushdown=boat_config.sql_pushdown,
-                )
-                phase("cleanup_scan", t0, io_before)
-                if checkpoint is not None:
-                    # Fully accumulated: a crash during finalization resumes
-                    # with zero scan rows to re-read.
-                    checkpoint.checkpoint_cleanup(result.root, len(table))
-
-                # -- finalization --------------------------------------------
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("finalize") as finalize_span:
-                    prefetch = prefetch_frontier_subtrees(
-                        result.root, table.schema, method, split_config, pool
-                    )
-                    tree, finalize_report = finalize_tree(
-                        result.root,
-                        table.schema,
-                        method,
-                        split_config,
-                        prefetch=prefetch,
-                    )
-                    finalize_span.set(
-                        confirmed_splits=finalize_report.confirmed_splits,
-                        frontier_completions=finalize_report.frontier_completions,
-                        rebuilds=finalize_report.rebuilds,
-                        tree_nodes=tree.n_nodes,
-                    )
-                report.finalize = finalize_report
-                phase("finalize", t0, io_before)
-                report.workers = pool.n_workers
-                report.parallel_backend = pool.backend
-    except ReproError:
-        raise
-    except OSError as exc:
-        # A device/file error mid-build must not surface as a raw OSError
-        # with a half-built skeleton behind it.
-        raise StorageError(f"I/O failure during BOAT construction: {exc}") from exc
-    finally:
-        # Success or failure, the skeleton's held/family stores (and any
-        # spill files they own) are torn down before we return.
-        if result is not None:
-            result.root.release()
-    if checkpoint is not None:
-        checkpoint.finish()
-    if tracer.enabled:
-        report.trace = tracer.report()
-    return BoatResult(tree=tree, report=report)
+                ),
+                pool,
+            )
+    return BoatResult(tree=tree, report=run.done(checkpoint))

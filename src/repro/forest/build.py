@@ -39,12 +39,12 @@ shared scan passes them — no third pass — and scored after finalization
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
+from ..core.boat import BuildHarness
 from ..core.bootstrap import SamplingReport, sampling_phase
 from ..core.cleanup import shared_cleanup_scan
 from ..core.finalize import FinalizeReport, finalize_tree
@@ -54,10 +54,11 @@ from ..core.state import (
     require_boat_method,
 )
 from ..core.terminals import compile_skeleton
-from ..exceptions import ReproError, SplitSelectionError, StorageError
+from ..exceptions import RecoveryError, SplitSelectionError, StorageError
 from ..kernels import get_kernels
-from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
+from ..observability import NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
+from ..recovery.retry import wrap_retry
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import (
     CLASS_COLUMN,
@@ -116,16 +117,6 @@ class ForestReport:
 class ForestResult:
     forest: DecisionForest
     report: ForestReport
-
-
-def _resolve_tracer(
-    tracer: Tracer | NullTracer | None, config: BoatConfig, io: IOStats | None
-) -> Tracer | NullTracer:
-    if tracer is not None:
-        return tracer
-    if config.trace:
-        return Tracer(io)
-    return NULL_TRACER
 
 
 def _gather_member_samples(
@@ -215,7 +206,10 @@ def forest_build(
         boat_config: BOAT knobs.  ``seed`` roots the per-member
             SeedSequence spawn; ``n_workers`` fans members across threads
             during the shared cleanup scan (output is identical at any
-            worker count).
+            worker count); ``scan_retries`` absorbs transient scan
+            errors as in ``boat_build``.  ``checkpoint_dir`` is refused
+            with a :class:`~repro.exceptions.RecoveryError`: forests
+            cannot be checkpointed or resumed.
         spill_dir: directory for temporary spill files.
         tracer: phase tracer (defaults per ``boat_config.trace``).
         oob: also compute the out-of-bag error estimate from the same
@@ -225,6 +219,11 @@ def forest_build(
         raise SplitSelectionError("forest_build needs n_members >= 1")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
+    if boat_config.checkpoint_dir:
+        raise RecoveryError(
+            "forest_build cannot checkpoint or resume: drop "
+            "BoatConfig.checkpoint_dir"
+        )
     method = method or ImpuritySplitSelection(
         "gini", kernels=boat_config.kernel_backend
     )
@@ -234,174 +233,159 @@ def forest_build(
     if n < 1:
         raise SplitSelectionError("cannot build a forest over an empty table")
     io = table.io_stats
-    tracer = _resolve_tracer(tracer, boat_config, io)
+    run = BuildHarness(
+        ForestReport(table_size=n, n_members=n_members),
+        io,
+        tracer,
+        boat_config,
+        "forest construction",
+    )
+    tracer = run.tracer
+    report = run.report
+    scan_table = wrap_retry(table, boat_config, tracer)
     kernels = get_kernels(boat_config.kernel_backend)
-    report = ForestReport(table_size=n, n_members=n_members)
     plans = plan_members(boat_config.seed, n_members, n)
     member_rngs = [np.random.default_rng(p.build_seed) for p in plans]
     for plan in plans:
         report.members.append(MemberReport(plan.index, plan.build_seed))
 
-    def phase(name: str, start: float, io_before: IOStats | None) -> None:
-        report.wall_seconds[name] = time.perf_counter() - start
-        if io is not None and io_before is not None:
-            report.io[name] = io.delta_since(io_before)
-
     skeletons: list = []
-    try:
-        with tracer.span("forest_build", table_size=n, members=n_members):
-            # -- scan 1: shared sample gather ------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            with tracer.span(
-                "sample",
-                requested_rows=boat_config.sample_size,
-                members=n_members,
-            ) as sample_span:
-                samples = _gather_member_samples(
-                    table,
-                    plans,
-                    member_rngs,
-                    boat_config.sample_size,
-                    boat_config.batch_rows,
-                    schema,
-                )
-                sample_span.set(sample_rows=sum(len(s) for s in samples))
-            if boat_config.sample_size >= n:
-                # Every resample fits in memory (resamples have exactly n
-                # rows): the paper's in-memory switch, applied per member.
-                with tracer.span("in_memory_build"):
-                    members = []
-                    for m, sample in enumerate(samples):
-                        tree = build_reference_tree(
-                            sample, schema, method, split_config
-                        )
-                        members.append(tree)
-                        report.members[m].mode = "in-memory"
-                        report.members[m].tree_nodes = tree.n_nodes
-                phase("in_memory_build", t0, io_before)
-                report.mode = "in-memory"
-                forest = DecisionForest(
-                    schema, members, member_seeds=[p.build_seed for p in plans]
-                )
-                if tracer.enabled:
-                    report.trace = tracer.report()
-                return ForestResult(forest=forest, report=report)
-
-            # -- per-member sampling phases (in-memory, no scans) ----------
-            for m, (plan, sample, rng) in enumerate(
-                zip(plans, samples, member_rngs)
-            ):
-                result = sampling_phase(
-                    sample,
-                    schema,
-                    method,
-                    split_config,
-                    boat_config,
-                    plan.resample_rows,
-                    rng,
-                    spill_dir,
-                    io,
-                    tracer=tracer,
-                )
-                skeletons.append(result.root)
-                report.members[m].sampling = result.report
-            phase("sampling", t0, io_before)
-
-            # -- scan 2: one shared cleanup scan for all members -----------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            oob_stores = (
-                [
-                    TupleStore(
-                        schema, boat_config.spill_threshold_rows, spill_dir, io
-                    )
-                    for _ in plans
-                ]
-                if oob
-                else None
+    with run.guard(), tracer.span(
+        "forest_build", table_size=n, members=n_members
+    ):
+        # -- scan 1: shared sample gather ------------------------------------
+        run.start()
+        with tracer.span(
+            "sample",
+            requested_rows=boat_config.sample_size,
+            members=n_members,
+        ) as sample_span:
+            samples = _gather_member_samples(
+                scan_table,
+                plans,
+                member_rngs,
+                boat_config.sample_size,
+                boat_config.batch_rows,
+                schema,
             )
-
-            def member_sink(m: int):
-                weights = plans[m].weights
-                routing = compile_skeleton(skeletons[m], schema)
-                store = oob_stores[m] if oob_stores is not None else None
-
-                def sink(batch: np.ndarray, offset: int):
-                    w = weights[offset : offset + len(batch)]
-                    # One delta list per expand_batch chunk, applied chunk
-                    # by chunk: pins QUEST's float summation order.
-                    chunk_deltas = [
-                        routing.deltas(chunk, kernels)
-                        for chunk in expand_batch(
-                            batch, w, boat_config.batch_rows
-                        )
-                    ]
-
-                    def commit() -> None:
-                        for deltas in chunk_deltas:
-                            apply_batch_delta(deltas)
-                        if store is not None:
-                            zero = w == 0
-                            if zero.any():
-                                store.append(batch[zero])
-
-                    return commit
-
-                return sink
-
-            with WorkerPool(boat_config.n_workers, "thread", tracer=tracer) as pool:
-                report.workers = pool.n_workers
-                shared_cleanup_scan(
-                    table,
-                    [member_sink(m) for m in range(n_members)],
-                    boat_config.batch_rows,
-                    pool=pool,
-                    tracer=tracer,
-                    labels=[f"member-{m}" for m in range(n_members)],
-                )
-            phase("cleanup_scan", t0, io_before)
-
-            # -- finalize per member ---------------------------------------
-            t0 = time.perf_counter()
-            io_before = io.snapshot() if io is not None else None
-            members = []
-            with tracer.span("finalize", members=n_members):
-                for m in range(n_members):
-                    tree, finalize_report = finalize_tree(
-                        skeletons[m], schema, method, split_config
+            sample_span.set(sample_rows=sum(len(s) for s in samples))
+        if boat_config.sample_size >= n:
+            # Every resample fits in memory (resamples have exactly n
+            # rows): the paper's in-memory switch, applied per member.
+            with tracer.span("in_memory_build"):
+                members = []
+                for m, sample in enumerate(samples):
+                    tree = build_reference_tree(
+                        sample, schema, method, split_config
                     )
-                    report.members[m].finalize = finalize_report
-                    report.members[m].tree_nodes = tree.n_nodes
                     members.append(tree)
-            phase("finalize", t0, io_before)
+                    report.members[m].mode = "in-memory"
+                    report.members[m].tree_nodes = tree.n_nodes
+            run.stop("in_memory_build")
+            report.mode = "in-memory"
             forest = DecisionForest(
                 schema, members, member_seeds=[p.build_seed for p in plans]
             )
+            return ForestResult(forest=forest, report=run.done())
 
-            # -- out-of-bag scoring (no additional scans) ------------------
-            if oob_stores is not None:
-                t0 = time.perf_counter()
-                io_before = io.snapshot() if io is not None else None
-                with tracer.span("oob", members=n_members) as oob_span:
-                    _score_oob(forest, plans, oob_stores, report, schema)
-                    oob_span.set(
-                        oob_error=report.oob_error,
-                        oob_coverage=report.oob_coverage,
-                    )
-                phase("oob", t0, io_before)
-    except ReproError:
-        raise
-    except OSError as exc:
-        raise StorageError(
-            f"I/O failure during forest construction: {exc}"
-        ) from exc
-    finally:
-        for skeleton in skeletons:
-            skeleton.release()
-    if tracer.enabled:
-        report.trace = tracer.report()
-    return ForestResult(forest=forest, report=report)
+        # -- per-member sampling phases (in-memory, no scans) ----------------
+        for m, (plan, sample, rng) in enumerate(
+            zip(plans, samples, member_rngs)
+        ):
+            result = sampling_phase(
+                sample,
+                schema,
+                method,
+                split_config,
+                boat_config,
+                plan.resample_rows,
+                rng,
+                spill_dir,
+                io,
+                tracer=tracer,
+            )
+            skeletons.append(run.hold(result.root))
+            report.members[m].sampling = result.report
+        run.stop("sampling")
+
+        # -- scan 2: one shared cleanup scan for all members -----------------
+        run.start()
+        oob_stores = (
+            [
+                TupleStore(
+                    schema, boat_config.spill_threshold_rows, spill_dir, io
+                )
+                for _ in plans
+            ]
+            if oob
+            else None
+        )
+
+        def member_sink(m: int):
+            weights = plans[m].weights
+            routing = compile_skeleton(skeletons[m], schema)
+            store = oob_stores[m] if oob_stores is not None else None
+
+            def sink(batch: np.ndarray, offset: int):
+                w = weights[offset : offset + len(batch)]
+                # One delta list per expand_batch chunk, applied chunk by
+                # chunk: pins QUEST's float summation order.
+                chunk_deltas = [
+                    routing.deltas(chunk, kernels)
+                    for chunk in expand_batch(batch, w, boat_config.batch_rows)
+                ]
+
+                def commit() -> None:
+                    for deltas in chunk_deltas:
+                        apply_batch_delta(deltas)
+                    if store is not None:
+                        zero = w == 0
+                        if zero.any():
+                            store.append(batch[zero])
+
+                return commit
+
+            return sink
+
+        with WorkerPool(boat_config.n_workers, "thread", tracer=tracer) as pool:
+            report.workers = pool.n_workers
+            shared_cleanup_scan(
+                scan_table,
+                [member_sink(m) for m in range(n_members)],
+                boat_config.batch_rows,
+                pool=pool,
+                tracer=tracer,
+                labels=[f"member-{m}" for m in range(n_members)],
+            )
+        run.stop("cleanup_scan")
+
+        # -- finalize per member ---------------------------------------------
+        run.start()
+        members = []
+        with tracer.span("finalize", members=n_members):
+            for m in range(n_members):
+                tree, finalize_report = finalize_tree(
+                    skeletons[m], schema, method, split_config
+                )
+                report.members[m].finalize = finalize_report
+                report.members[m].tree_nodes = tree.n_nodes
+                members.append(tree)
+        run.stop("finalize")
+        forest = DecisionForest(
+            schema, members, member_seeds=[p.build_seed for p in plans]
+        )
+
+        # -- out-of-bag scoring (no additional scans) ------------------------
+        if oob_stores is not None:
+            run.start()
+            with tracer.span("oob", members=n_members) as oob_span:
+                _score_oob(forest, plans, oob_stores, report, schema)
+                oob_span.set(
+                    oob_error=report.oob_error,
+                    oob_coverage=report.oob_coverage,
+                )
+            run.stop("oob")
+    return ForestResult(forest=forest, report=run.done())
 
 
 def _score_oob(

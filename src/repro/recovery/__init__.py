@@ -24,14 +24,15 @@ from .checkpoint import (
     CheckpointState,
     build_digest,
     load_checkpoint,
+    load_resumable,
     load_unit_results,
     restore_cleanup_state,
     restore_skeleton,
     serialize_cleanup_state,
     serialize_skeleton,
 )
-from .resume import resume_build, wrap_retry
-from .retry import RetryingTable, RetryPolicy
+from .resume import resume_build
+from .retry import RetryingTable, RetryPolicy, wrap_retry
 
 __all__ = [
     "CheckpointManager",
@@ -40,6 +41,7 @@ __all__ = [
     "RetryingTable",
     "build_digest",
     "load_checkpoint",
+    "load_resumable",
     "load_unit_results",
     "restore_cleanup_state",
     "restore_skeleton",

@@ -50,7 +50,7 @@ from ..core.coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
 from ..core.state import BoatNode, durable_store_path
 from ..exceptions import RecoveryError
 from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..storage import IOStats, Schema, TupleStore
+from ..storage import IOStats, Schema, ShardedTable, Table, TupleStore
 
 FORMAT_VERSION = 1
 META_FILE = "meta.json"
@@ -407,6 +407,62 @@ def load_checkpoint(directory: str) -> CheckpointState:
     if os.path.exists(state_path):
         cleanup = _read_json(state_path, "cleanup state")
     return CheckpointState(meta=meta, skeleton=skeleton, cleanup=cleanup)
+
+
+def load_resumable(
+    table: Table,
+    split_config: SplitConfig,
+    boat_config: BoatConfig,
+    entry: str,
+    sharded: bool = False,
+) -> CheckpointState:
+    """Load the checkpoint a resume over ``table`` finishes, or refuse it.
+
+    One set of guard rails for every resume: a checkpoint directory must
+    be named, its kind must fit (a sharded checkpoint resumes over a
+    :class:`~repro.storage.ShardedTable`, and ``sharded=True`` — the
+    sharded resume — takes sharded checkpoints only), the build must be
+    unfinished with its skeleton saved, and the configuration digest
+    must match, so a resume never produces a hybrid of two trees.
+    ``entry`` names the resuming function in the errors.
+    """
+    directory = boat_config.checkpoint_dir
+    if not directory:
+        raise RecoveryError(
+            f"{entry} requires BoatConfig.checkpoint_dir to name the "
+            "checkpoint directory to resume from"
+        )
+    state = load_checkpoint(directory)
+    if state.sharded is not None and not isinstance(table, ShardedTable):
+        raise RecoveryError(
+            f"checkpoint {directory} records a sharded build; resume it "
+            "over its shard directory, not a flat table"
+        )
+    if sharded and state.sharded is None:
+        raise RecoveryError(
+            f"checkpoint {directory} records a flat (single-table) build; "
+            "resume it with resume_build"
+        )
+    if state.phase == PHASE_COMPLETE:
+        raise RecoveryError(
+            f"checkpoint {directory} records a completed build; nothing to "
+            "resume"
+        )
+    if state.skeleton is None:
+        raise RecoveryError(
+            "the build died before its skeleton was checkpointed (sampling "
+            "phase); restart it from scratch — there is no state to save"
+        )
+    digest = build_digest(table.schema, len(table), split_config, boat_config)
+    recorded = state.meta.get("config_digest")
+    if digest != recorded:
+        raise RecoveryError(
+            "configuration digest mismatch: the checkpoint was written under "
+            "a different schema/table/configuration than this resume "
+            f"(checkpoint {recorded}, resume {digest}); resuming would not "
+            "reproduce the original tree"
+        )
+    return state
 
 
 class CheckpointManager:

@@ -9,12 +9,13 @@ merged centrally without giving up the single-table build's exactness.
 Layout:
 
 * :mod:`repro.shard.coordinator` — :func:`sharded_boat_build`, the
-  distributed driver (byte-identical output; see ``docs/SHARDING.md``).
+  distributed driver (byte-identical output; see ``docs/SHARDING.md``),
+  and :func:`resume_sharded_build` for checkpointed coordinators
+  (including resume at a different shard count after
+  :func:`repro.storage.reshard`); both share one cleanup-and-merge phase.
 * :mod:`repro.shard.elastic` — elastic dispatch: replica failover,
-  bounded retries, speculative re-execution of stragglers, and
-  :func:`resume_sharded_build` for checkpointed coordinators (including
-  resume at a different shard count after
-  :func:`repro.storage.reshard`).
+  bounded retries, speculative re-execution of stragglers, and the
+  work-unit planner.
 * :mod:`repro.shard.worker` — shard-local request execution (idempotent
   pure functions, usable from any transport substrate).
 * :mod:`repro.shard.stats` — the mergeable statistic types and the
@@ -28,12 +29,16 @@ Layout:
   fault-injecting transport wrapper behind the chaos-drill tests.
 """
 
-from .coordinator import ShardedBoatResult, ShardReport, sharded_boat_build
+from .coordinator import (
+    ShardedBoatResult,
+    ShardReport,
+    resume_sharded_build,
+    sharded_boat_build,
+)
 from .elastic import (
     ElasticDispatcher,
     ElasticPolicy,
     WorkUnit,
-    resume_sharded_build,
     uncovered_intervals,
     units_for_intervals,
     whole_shard_units,

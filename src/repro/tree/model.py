@@ -181,38 +181,37 @@ class DecisionTree:
     def route_recursive(self, batch: np.ndarray) -> np.ndarray:
         """Reference implementation of :meth:`route` (recursive Node walk)."""
         out = np.empty(len(batch), dtype=np.int64)
-        self._route_into(self._root, batch, np.arange(len(batch)), out)
+        for leaf, indices in self._walk(batch):
+            out[indices] = leaf.node_id
         return out
 
-    def _route_into(
-        self, node: Node, batch: np.ndarray, indices: np.ndarray, out: np.ndarray
-    ) -> None:
-        if node.is_leaf:
-            out[indices] = node.node_id
-            return
-        go_left = node.split.evaluate(batch[indices], self._schema)
-        left, right = node.children()
-        self._route_into(left, batch, indices[go_left], out)
-        self._route_into(right, batch, indices[~go_left], out)
+    def _walk(self, batch: np.ndarray) -> Iterator[tuple[Node, np.ndarray]]:
+        """Each leaf reached by ``batch``, with the row indices reaching it.
+
+        The one recursive Node walk: :meth:`route_recursive`,
+        :meth:`predict` and :meth:`predict_proba` fill their outputs
+        from it, and the compiled kernel is checked against it.
+        """
+
+        def walk(node: Node, indices: np.ndarray):
+            if indices.size == 0:
+                return
+            if node.is_leaf:
+                yield node, indices
+                return
+            go_left = node.split.evaluate(batch[indices], self._schema)
+            left, right = node.children()
+            yield from walk(left, indices[go_left])
+            yield from walk(right, indices[~go_left])
+
+        return walk(self._root, np.arange(len(batch)))
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Predicted class labels for a batch (vectorized)."""
         labels = np.empty(len(batch), dtype=np.int32)
-        self._predict_into(self._root, batch, np.arange(len(batch)), labels)
+        for leaf, indices in self._walk(batch):
+            labels[indices] = leaf.label
         return labels
-
-    def _predict_into(
-        self, node: Node, batch: np.ndarray, indices: np.ndarray, out: np.ndarray
-    ) -> None:
-        if indices.size == 0:
-            return
-        if node.is_leaf:
-            out[indices] = node.label
-            return
-        go_left = node.split.evaluate(batch[indices], self._schema)
-        left, right = node.children()
-        self._predict_into(left, batch, indices[go_left], out)
-        self._predict_into(right, batch, indices[~go_left], out)
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
         """Class-probability estimates from leaf training distributions.
@@ -223,25 +222,13 @@ class DecisionTree:
         """
         k = len(self._root.class_counts)
         out = np.empty((len(batch), k), dtype=np.float64)
-        self._proba_into(self._root, batch, np.arange(len(batch)), out)
-        return out
-
-    def _proba_into(
-        self, node: Node, batch: np.ndarray, indices: np.ndarray, out: np.ndarray
-    ) -> None:
-        if indices.size == 0:
-            return
-        if node.is_leaf:
-            total = node.class_counts.sum()
+        for leaf, indices in self._walk(batch):
+            total = leaf.class_counts.sum()
             if total > 0:
-                out[indices] = node.class_counts / total
+                out[indices] = leaf.class_counts / total
             else:
-                out[indices] = 1.0 / len(node.class_counts)
-            return
-        go_left = node.split.evaluate(batch[indices], self._schema)
-        left, right = node.children()
-        self._proba_into(left, batch, indices[go_left], out)
-        self._proba_into(right, batch, indices[~go_left], out)
+                out[indices] = 1.0 / len(leaf.class_counts)
+        return out
 
     def misclassification_rate(self, batch: np.ndarray) -> float:
         """Fraction of ``batch`` whose predicted label differs from its label."""
