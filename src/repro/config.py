@@ -108,8 +108,9 @@ class BoatConfig:
         seed: seed for the sampling phase RNG.  Changing it changes speed
             (which subtrees need rebuilding), never the output tree.
         batch_rows: scan batch granularity.
-        n_workers: worker count for the parallel phases (bootstrap tree
-            growing, cleanup scan, frontier prefetch).  ``1`` runs
+        n_workers: worker count for the parallel phases (cleanup scan,
+            frontier prefetch, and the per-repetition bootstrap of QUEST
+            and the ``python`` backend).  ``1`` runs
             everything serially; ``0`` uses one worker per CPU.  Like
             every BOAT knob this affects speed only — the output tree is
             bit-identical at any worker count.

@@ -12,6 +12,11 @@ with replacement) and intersect them top-down:
 * a numerical attribute yields a confidence interval spanning the ``b``
   bootstrap split points, widened by a configurable fraction.
 
+Only the positions where all ``b`` trees agree are ever read, so impurity
+methods on the numpy backend grow the ``b`` trees in lock-step, as roots
+of level-wise grows over the once-presorted sample, and stop expanding a
+position as soon as the trees stop agreeing there (:class:`_AgreementBound`).
+
 The intersection simultaneously routes D' down the skeleton to build, at
 every node, the adaptive discretizations for the Lemma 3.1 failure check
 (:mod:`repro.core.discretize`) — many buckets where the sample impurity
@@ -38,8 +43,10 @@ from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split
 from ..splits.numeric import numeric_profile
 from ..splits.quest import QuestSplitSelection
-from ..storage import CLASS_COLUMN, IOStats, Schema
+from ..storage import CLASS_COLUMN, IOStats, Schema, bootstrap_indices
 from ..tree import DecisionTree, Node, tree_from_dict
+from ..tree.builder import _grows_levelwise
+from ..tree.grower import grow_resamples, rank_columns
 from .coarse import CoarseCategorical, CoarseNumeric
 from .discretize import build_discretization, interval_forced_edges
 from .state import BoatMethod, BoatNode, require_boat_method
@@ -103,15 +110,13 @@ class _SkeletonBuilder:
 
     def build(self, nodes: list[Node], sample_family: np.ndarray, depth: int) -> BoatNode:
         self.report.skeleton_nodes += 1
-        criterion = self._agree(nodes, depth)
-        estimated = int(
-            round(len(sample_family) / self._sample_size * self._table_size)
-        )
-        if criterion is not None and (
-            0
-            < self._config.inmemory_threshold
-            and estimated <= self._config.inmemory_threshold
-        ):
+        criterion, disagreement = self._agree(nodes, depth)
+        if disagreement == "attribute":
+            self.report.attribute_disagreements += 1
+        elif disagreement == "subset":
+            self.report.subset_disagreements += 1
+        estimated = self._estimate(len(sample_family))
+        if criterion is not None and self._in_memory(estimated):
             criterion = None
         if criterion is None:
             self.report.frontier_nodes += 1
@@ -163,33 +168,44 @@ class _SkeletonBuilder:
 
     def _agree(
         self, nodes: list[Node], depth: int
-    ) -> CoarseNumeric | CoarseCategorical | None:
-        """The coarse criterion if all bootstrap trees agree, else None."""
+    ) -> tuple[CoarseNumeric | CoarseCategorical | None, str | None]:
+        """The coarse criterion if all bootstrap trees agree, else None.
+
+        The second item names a disagreement between splitting nodes:
+        ``"attribute"`` (attribute or split type) or ``"subset"``.
+        """
         if any(n.is_leaf for n in nodes):
-            return None
+            return None, None
         if (
             self._split_config.max_depth is not None
             and depth >= self._split_config.max_depth
         ):
-            return None
+            return None, None
         splits = [n.split for n in nodes]
         first = splits[0]
         if any(
             s.attribute_index != first.attribute_index or type(s) is not type(first)
             for s in splits
         ):
-            self.report.attribute_disagreements += 1
-            return None
+            return None, "attribute"
         if isinstance(first, CategoricalSplit):
             if any(s.subset != first.subset for s in splits):
-                self.report.subset_disagreements += 1
-                return None
-            return CoarseCategorical(first.attribute_index, first.subset)
+                return None, "subset"
+            return CoarseCategorical(first.attribute_index, first.subset), None
         values = np.array([s.value for s in splits], dtype=np.float64)
         low = float(values.min())
         high = float(values.max())
         pad = self._config.interval_widening * (high - low)
-        return CoarseNumeric(first.attribute_index, low - pad, high + pad)
+        return CoarseNumeric(first.attribute_index, low - pad, high + pad), None
+
+    def _estimate(self, sample_rows: int) -> int:
+        """|D| share of a node whose sample family has ``sample_rows`` rows."""
+        return int(round(sample_rows / self._sample_size * self._table_size))
+
+    def _in_memory(self, estimated: int) -> bool:
+        """Whether the in-memory switch finishes a family of this size."""
+        threshold = self._config.inmemory_threshold
+        return 0 < threshold and estimated <= threshold
 
     def _route_mask(
         self,
@@ -318,6 +334,86 @@ class _SkeletonBuilder:
         return edges
 
 
+#: Virtual rows one lock-step grow takes on: roots are grown in groups of
+#: at most this many rows (a larger root alone).  A grow peaks at about
+#: 220 traced bytes per virtual row; at this size the phase's peak stays
+#: below the per-repetition path's on 10k-row samples and below
+#: finalization's on a deep 1.5k-row build, so the build's peak does not rise.
+GROUP_ROWS = 1 << 13
+
+
+class _AgreementBound:
+    """Stops one group's lock-step bootstrap grow where the skeleton stops.
+
+    A *position* is one node per bootstrap tree, reached by the same path
+    from the roots.  :meth:`_SkeletonBuilder.build` recurses below a
+    position only if all ``b`` nodes split, on the same attribute and
+    split type (and categorical subset), and the in-memory switch does
+    not fire on the sample D' routed there by the median split.
+
+    Groups grow one after another.  A position is expanded when this
+    group's nodes and the ``earlier`` groups' nodes there all agree; the
+    ``final`` group also applies the in-memory switch, whose median needs
+    all ``b`` splits.  So every group expands every position the builder
+    visits (earlier groups possibly a few more), and the builder reads
+    the same splits there as below an unbounded grow.
+    """
+
+    def __init__(
+        self,
+        builder: _SkeletonBuilder,
+        sample: np.ndarray,
+        earlier: list[DecisionTree],
+        size: int,
+        final: bool,
+    ):
+        self._builder = builder
+        self._earlier = earlier
+        self._size = size
+        # id(node) -> its path (0 = left, 1 = right); roots are at ().
+        self._paths: dict[int, tuple[int, ...]] = {}
+        # The routed sample per open position, kept only when the
+        # in-memory switch can fire.
+        in_memory = final and builder._config.inmemory_threshold > 0
+        self._families = {(): sample} if in_memory else None
+
+    def __call__(self, split: list[Node]) -> np.ndarray:
+        positions: dict[tuple[int, ...], list[int]] = {}
+        for i, node in enumerate(split):
+            path = self._paths.pop(id(node), ())
+            positions.setdefault(path, []).append(i)
+        keep = np.zeros(len(split), dtype=bool)
+        families = {}
+        for path, members in positions.items():
+            if len(members) < self._size:
+                continue  # some tree of this group has a leaf here
+            group = [split[i] for i in members]
+            nodes = [_walk(tree.root, path) for tree in self._earlier] + group
+            criterion, _ = self._builder._agree(nodes, len(path))
+            if criterion is None:
+                continue
+            if self._families is not None:
+                family = self._families[path]
+                if self._builder._in_memory(self._builder._estimate(len(family))):
+                    continue
+                go_left = self._builder._route_mask(family, criterion, nodes)
+                families[path + (0,)] = family[go_left]
+                families[path + (1,)] = family[~go_left]
+            keep[members] = True
+            for node in group:
+                self._paths[id(node.left)] = path + (0,)
+                self._paths[id(node.right)] = path + (1,)
+        if self._families is not None:
+            self._families = families
+        return keep
+
+
+def _walk(node: Node, path: tuple[int, ...]) -> Node:
+    for step in path:
+        node = node.right if step else node.left
+    return node
+
+
 def build_bootstrap_trees(
     sample: np.ndarray,
     schema: Schema,
@@ -326,14 +422,26 @@ def build_bootstrap_trees(
     boat_config: BoatConfig,
     rng: np.random.Generator,
     pool: WorkerPool | None = None,
+    skeleton: _SkeletonBuilder | None = None,
 ) -> list[DecisionTree]:
-    """Grow the ``b`` bootstrap trees, optionally on a worker pool.
+    """Grow the ``b`` bootstrap trees.
 
     One entropy value is drawn from ``rng`` and expanded into ``b``
     :class:`~numpy.random.SeedSequence` children, one per repetition, so
     every repetition's resample is a pure function of (sample, child).
-    The serial path and every pool backend therefore produce bit-identical
-    trees; a pool merely changes where the work runs.
+
+    Impurity methods on the numpy backend grow all ``b`` trees as roots of
+    level-synchronous grows (:func:`repro.tree.grower.grow_resamples`)
+    over the once-presorted sample, :data:`GROUP_ROWS` virtual rows at a
+    time, on the calling thread.  The sampling phase passes its
+    ``skeleton`` builder to stop those grows where the skeleton stops
+    (:class:`_AgreementBound`); without it every tree is grown in full.
+
+    Every other method (QUEST, the ``python`` oracle backend, subclasses
+    with their own ``choose_split``) grows one tree per repetition,
+    optionally on ``pool``.  The serial path and every pool backend
+    produce bit-identical trees; a pool merely changes where the work
+    runs.
 
     ``pool``, when parallel, must have been created with
     :func:`repro.core.workers.init_build_context` as its initializer and
@@ -344,6 +452,26 @@ def build_bootstrap_trees(
     repetitions = boat_config.bootstrap_repetitions
     entropy = int(rng.integers(0, np.iinfo(np.int64).max))
     children = np.random.SeedSequence(entropy).spawn(repetitions)
+    kernels = getattr(method, "kernels", DEFAULT_KERNELS)
+    if _grows_levelwise(method, kernels):
+        per_grow = max(1, GROUP_ROWS // subsample)
+        ranks = rank_columns(sample, schema)
+        trees: list[DecisionTree] = []
+        for lo in range(0, repetitions, per_grow):
+            group = children[lo : lo + per_grow]
+            draws = [
+                bootstrap_indices(len(sample), subsample, np.random.default_rng(child))
+                for child in group
+            ]
+            bound = None
+            if skeleton is not None:
+                final = lo + per_grow >= repetitions
+                bound = _AgreementBound(skeleton, sample, trees, len(group), final)
+            trees += grow_resamples(
+                sample, ranks, draws, schema, method.impurity, kernels,
+                split_config, bound,
+            )
+        return trees
     if pool is not None and pool.is_parallel:
         # ~2 chunks per worker balances load against per-task overhead.
         chunk_size = max(1, -(-repetitions // (pool.n_workers * 2)))
@@ -353,6 +481,19 @@ def build_bootstrap_trees(
         init_build_context(sample, schema, method, split_config, subsample)
         tree_dicts = bootstrap_trees_task(children)
     return [tree_from_dict(d) for d in tree_dicts]
+
+
+def _levels(trees: list[DecisionTree]) -> int:
+    """Depth levels at which at least one bootstrap node split."""
+    deepest = -1
+    for tree in trees:
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                deepest = max(deepest, node.depth)
+                stack += (node.left, node.right)
+    return deepest + 1
 
 
 def sampling_phase(
@@ -376,10 +517,10 @@ def sampling_phase(
         table_size: |D|, used to estimate family sizes for the in-memory
             switch.
         rng: drives the bootstrap seeding only.
-        pool: optional worker pool for growing the bootstrap trees
-            concurrently (see :func:`build_bootstrap_trees` for the
-            initializer contract).  The output is identical with or
-            without it.
+        pool: optional worker pool for growing per-repetition bootstrap
+            trees concurrently (see :func:`build_bootstrap_trees` for the
+            initializer contract and the methods it applies to).  The
+            output is identical with or without it.
         tracer: records the ``bootstrap`` (tree growing) and ``coarse``
             (skeleton intersection) spans.
         durable_dir: checkpointed builds pass their spill directory here
@@ -389,14 +530,6 @@ def sampling_phase(
     require_boat_method(method)
     if len(sample) == 0:
         raise SplitSelectionError("cannot run the sampling phase on an empty sample")
-    with tracer.span(
-        "bootstrap",
-        repetitions=boat_config.bootstrap_repetitions,
-        sample_rows=len(sample),
-    ):
-        trees = build_bootstrap_trees(
-            sample, schema, method, split_config, boat_config, rng, pool
-        )
     builder = _SkeletonBuilder(
         schema,
         method,
@@ -408,6 +541,15 @@ def sampling_phase(
         io_stats,
         durable_dir,
     )
+    with tracer.span(
+        "bootstrap",
+        repetitions=boat_config.bootstrap_repetitions,
+        sample_rows=len(sample),
+    ) as bootstrap_span:
+        trees = build_bootstrap_trees(
+            sample, schema, method, split_config, boat_config, rng, pool, builder
+        )
+        bootstrap_span.set(levels=_levels(trees))
     with tracer.span("coarse") as coarse_span:
         root = builder.build([t.root for t in trees], sample, 0)
         coarse_span.set(

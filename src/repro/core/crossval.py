@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..exceptions import SplitSelectionError
+from ..exceptions import RecoveryError, SplitSelectionError
 from ..kernels import get_kernels
+from ..observability import NULL_TRACER
+from ..recovery.retry import wrap_retry
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import CLASS_COLUMN, Table
 from ..tree import DecisionTree, build_reference_tree
@@ -69,13 +71,25 @@ def boat_cross_validate(
     boat_config: BoatConfig | None = None,
     spill_dir: str | None = None,
 ) -> CrossValidationResult:
-    """k-fold cross-validation sharing scans across all folds."""
+    """k-fold cross-validation sharing scans across all folds.
+
+    ``boat_config.scan_retries`` absorbs transient errors in all three
+    scans, as in ``boat_build``; ``checkpoint_dir`` is refused with a
+    :class:`~repro.exceptions.RecoveryError` before any scan, since
+    cross-validation cannot be checkpointed or resumed.
+    """
     if k < 2:
         raise SplitSelectionError("cross-validation needs k >= 2")
     if len(table) < k:
         raise SplitSelectionError("table smaller than the number of folds")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
+    if boat_config.checkpoint_dir:
+        raise RecoveryError(
+            "boat_cross_validate cannot checkpoint or resume: drop "
+            "BoatConfig.checkpoint_dir"
+        )
+    scan_table = wrap_retry(table, boat_config, NULL_TRACER)
     start = time.perf_counter()
     rng = np.random.default_rng(boat_config.seed)
     schema = table.schema
@@ -88,7 +102,7 @@ def boat_cross_validate(
     sample_positions = chosen
     filled = 0
     offset = 0
-    for batch in table.scan(boat_config.batch_rows):
+    for batch in scan_table.scan(boat_config.batch_rows):
         lo = np.searchsorted(chosen, offset, side="left")
         hi = np.searchsorted(chosen, offset + len(batch), side="left")
         if hi > lo:
@@ -130,7 +144,7 @@ def boat_cross_validate(
             return sink
 
         shared_cleanup_scan(
-            table,
+            scan_table,
             [fold_sink(fold, s) for fold, s in enumerate(skeletons)],
             boat_config.batch_rows,
             labels=[f"fold-{fold}" for fold in range(k)],
@@ -156,7 +170,7 @@ def boat_cross_validate(
     errors = np.zeros(k, dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
     offset = 0
-    for batch in table.scan(boat_config.batch_rows):
+    for batch in scan_table.scan(boat_config.batch_rows):
         folds = (offset + np.arange(len(batch))) % k
         for fold in range(k):
             mask = folds == fold

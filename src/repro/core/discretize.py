@@ -62,9 +62,11 @@ def build_discretization(
     totals = profile.left_counts.sum(axis=1).astype(np.float64)
     n = totals[-1]
     mass = np.diff(totals, prepend=0.0) / max(n, 1.0)
-    excluded = np.zeros(len(candidates), dtype=bool)
+    # NaN is never a split point (NaN rows always go right, into the last
+    # bucket), and a NaN edge would unsort the edges.
+    excluded = np.isnan(candidates)
     if exclude_interval is not None:
-        excluded = (candidates >= exclude_interval[0]) & (
+        excluded |= (candidates >= exclude_interval[0]) & (
             candidates <= exclude_interval[1]
         )
     if (~excluded).sum() <= bucket_budget:

@@ -314,8 +314,16 @@ def _remove_from_store(store: TupleStore, records: np.ndarray) -> None:
     store.replace(remaining)
 
 
+#: Haystack rows :func:`multiset_remove` turns into bytes at a time.
+REMOVE_BLOCK_ROWS = 4096
+
+
 def multiset_remove(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Remove one occurrence per needle from a record array (bitwise match).
+
+    The earliest matching rows go.  The haystack is compared one block of
+    :data:`REMOVE_BLOCK_ROWS` rows at a time, so a delete holds one block's
+    bytes beside the store, not a byte copy of the whole store.
 
     Raises :class:`StorageError` if any needle has no remaining match —
     deleting a tuple that was never inserted is a caller bug the paper's
@@ -323,23 +331,25 @@ def multiset_remove(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """
     if len(needles) == 0:
         return haystack
+    haystack = np.ascontiguousarray(haystack)
     size = haystack.dtype.itemsize
-    raw = np.ascontiguousarray(haystack).tobytes()
     pending: dict[bytes, int] = {}
     for i in range(len(needles)):
         key = np.ascontiguousarray(needles[i : i + 1]).tobytes()
         pending[key] = pending.get(key, 0) + 1
     keep = np.ones(len(haystack), dtype=bool)
     removed = 0
-    for i in range(len(haystack)):
-        key = raw[i * size : (i + 1) * size]
-        count = pending.get(key, 0)
-        if count:
-            pending[key] = count - 1
-            keep[i] = False
-            removed += 1
-            if removed == len(needles):
-                break
+    for lo in range(0, len(haystack), REMOVE_BLOCK_ROWS):
+        if removed == len(needles):
+            break
+        raw = haystack[lo : lo + REMOVE_BLOCK_ROWS].tobytes()
+        for start in range(0, len(raw), size):
+            key = raw[start : start + size]
+            count = pending.get(key, 0)
+            if count:
+                pending[key] = count - 1
+                keep[lo + start // size] = False
+                removed += 1
     if removed != len(needles):
         raise StorageError(
             f"{len(needles) - removed} deleted tuple(s) not present in store"

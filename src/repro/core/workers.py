@@ -44,6 +44,10 @@ def init_build_context(
 def bootstrap_trees_task(seed_children: list[np.random.SeedSequence]) -> list[dict]:
     """Grow one bootstrap tree per seed child; return serialized trees.
 
+    This is the per-repetition bootstrap of the methods the lock-step
+    grower does not reproduce (QUEST, the ``python`` backend, subclasses
+    with their own ``choose_split``).
+
     Each repetition gets its own generator seeded from a deterministically
     spawned :class:`~numpy.random.SeedSequence` child, so the resample —
     and therefore the tree — depends only on the child, never on which

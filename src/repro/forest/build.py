@@ -54,7 +54,12 @@ from ..core.state import (
     require_boat_method,
 )
 from ..core.terminals import compile_skeleton
-from ..exceptions import RecoveryError, SplitSelectionError, StorageError
+from ..exceptions import (
+    RecoveryError,
+    ReproError,
+    SplitSelectionError,
+    StorageError,
+)
 from ..kernels import get_kernels
 from ..observability import NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
@@ -209,7 +214,9 @@ def forest_build(
             worker count); ``scan_retries`` absorbs transient scan
             errors as in ``boat_build``.  ``checkpoint_dir`` is refused
             with a :class:`~repro.exceptions.RecoveryError`: forests
-            cannot be checkpointed or resumed.
+            cannot be checkpointed or resumed.  ``sql_pushdown`` is
+            refused with a :class:`~repro.exceptions.ReproError`: the
+            shared cleanup scan does not push down into SQL.
         spill_dir: directory for temporary spill files.
         tracer: phase tracer (defaults per ``boat_config.trace``).
         oob: also compute the out-of-bag error estimate from the same
@@ -223,6 +230,11 @@ def forest_build(
         raise RecoveryError(
             "forest_build cannot checkpoint or resume: drop "
             "BoatConfig.checkpoint_dir"
+        )
+    if boat_config.sql_pushdown:
+        raise ReproError(
+            "forest_build does not push its cleanup scan down into SQL: drop "
+            "BoatConfig.sql_pushdown (it applies to single-tree builds)"
         )
     method = method or ImpuritySplitSelection(
         "gini", kernels=boat_config.kernel_backend

@@ -1,7 +1,8 @@
 """Worker-pool execution layer shared by every parallel phase.
 
 BOAT's phases are embarrassingly parallel in different ways: the sampling
-phase grows ``b`` independent bootstrap trees, the cleanup scan routes
+phase grows ``b`` independent bootstrap trees (per repetition for QUEST
+and the ``python`` backend), the cleanup scan routes
 independent table batches down a read-only skeleton, and finalization
 completes independent frontier families in memory.  :class:`WorkerPool`
 gives all three one facade over ``concurrent.futures`` with three

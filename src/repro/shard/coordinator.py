@@ -505,8 +505,9 @@ def _sharded_cleanup(
     held and frontier rows concatenate byte-identically.  A fresh build
     passes whole-shard units and nothing restored; a resume passes the
     uncovered complement of its checkpoint and the units it restored,
-    adds the unit count to the ``shard_cleanup`` span, and records no
-    logical full scan (the dead coordinator read part of the table).
+    adds the unit count to the ``shard_cleanup`` span, and records a
+    logical full scan only if it restored no unit (otherwise the dead
+    coordinator read part of the table).
     """
     table, tracer, report = session.table, session.tracer, session.report
     manifest = table.manifest
@@ -537,7 +538,7 @@ def _sharded_cleanup(
             scan = response["result"]
             session.charge(unit.shard_id, scan.rows_scanned, scan.io)
             fresh.append((unit.lo, scan))
-        if not report.resumed:
+        if not restored:
             session.finish_phase()
         ordered = sorted(
             [(lo, scan) for lo, _, scan in restored] + fresh,

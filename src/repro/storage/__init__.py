@@ -2,6 +2,7 @@
 
 from .io_stats import IOStats
 from .sampling import (
+    bootstrap_indices,
     bootstrap_resample,
     choose_sample_indices,
     gather_rows,
@@ -57,6 +58,7 @@ __all__ = [
     "bounded_scan",
     "get_dialect",
     "materialize_view",
+    "bootstrap_indices",
     "bootstrap_resample",
     "choose_sample_indices",
     "gather_rows",

@@ -127,14 +127,18 @@ def sample_table(
     return sample_known_size(table, k, rng, batch_rows)
 
 
+def bootstrap_indices(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of ``size`` draws *with* replacement from ``n`` rows."""
+    if n == 0:
+        raise ValueError("cannot bootstrap-resample an empty sample")
+    return rng.integers(0, n, size=size)
+
+
 def bootstrap_resample(
     data: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample ``size`` records from in-memory ``data`` *with* replacement."""
-    if len(data) == 0:
-        raise ValueError("cannot bootstrap-resample an empty sample")
-    idx = rng.integers(0, len(data), size=size)
-    return data[idx]
+    return data[bootstrap_indices(len(data), size, rng)]
 
 
 def split_into_chunks(data: np.ndarray, chunk_rows: int) -> Iterator[np.ndarray]:

@@ -22,6 +22,11 @@ stable argsort.  Per level:
   enumeration), in chunks of at most :data:`CHUNK_ROWS` candidate rows;
   the prefix search is one lexsort plus a segmented cumsum.
 
+:func:`grow_resamples` grows several trees — BOAT's bootstrap resamples
+of one sample — as roots of one such grow over *virtual rows* that map to
+the sample's rows, presorted once by dense rank; an ``expand`` callback
+can stop it below chosen nodes.
+
 Why the floats agree bit for bit (see docs/KERNELS.md): every count is an
 integer sum, which is order-free; every float is the measure's own
 row-local formula applied to the same integer rows; ties resolve to the
@@ -63,15 +68,140 @@ def grow_levelwise(
     config: SplitConfig,
 ) -> DecisionTree:
     """Grow the impurity-method reference tree of ``family`` level by level."""
+    ids = _row_dtype(len(family))
+    orders = {
+        index: np.argsort(family[attr.name], kind="stable").astype(ids)
+        for index, attr in enumerate(schema.attributes)
+        if attr.is_numerical
+    }
+    (tree,) = _grow_roots(
+        family, None, [len(family)], orders, schema, measure, kernels, config
+    )
+    return tree
+
+
+def grow_resamples(
+    family: np.ndarray,
+    ranks: dict[int, np.ndarray],
+    draws: list[np.ndarray],
+    schema: Schema,
+    measure: ImpurityMeasure,
+    kernels: KernelBackend,
+    config: SplitConfig,
+    expand: Callable[[list[Node]], np.ndarray] | None = None,
+) -> list[DecisionTree]:
+    """Grow the tree of every resample ``family[draw]`` in one level-wise grow.
+
+    Each resample is one root; its rows are *virtual rows* mapped to rows
+    of ``family``, in draw order, so no resample is ever materialized.
+    ``ranks`` is :func:`rank_columns` of ``family``: a root's presorted
+    list per numeric attribute is a stable radix sort of its draw's
+    gathered ranks.  Without ``expand`` every tree is byte-identical to
+    ``grow_levelwise(family[draw], ...)``.
+
+    ``expand``, when given, bounds the grow: after each level it receives
+    the nodes split at that level (in frontier order) and returns a mask
+    over them; the children of unmasked nodes stay leaves, unsearched.
+    """
+    offsets = np.cumsum([0] + [len(draw) for draw in draws])
+    n = int(offsets[-1])
+    # Narrow row numbers make the per-level ``take`` gathers cheaper.
+    small = len(family) <= np.iinfo(np.int16).max
+    rows_of = np.concatenate(draws).astype(
+        np.int16 if small else _row_dtype(len(family))
+    )
+    orders = {}
+    for index, column_ranks in ranks.items():
+        gathered = column_ranks[rows_of]
+        order = np.empty(n, dtype=_row_dtype(n))
+        for start, stop in zip(offsets[:-1], offsets[1:]):
+            order[start:stop] = np.argsort(gathered[start:stop], kind="stable")
+            order[start:stop] += start
+        orders[index] = order
+    return _grow_roots(
+        family, rows_of, np.diff(offsets), orders, schema, measure, kernels,
+        config, expand,
+    )
+
+
+def rank_columns(family: np.ndarray, schema: Schema) -> dict[int, np.ndarray]:
+    """:func:`dense_ranks` of every numeric column of ``family``."""
+    return {
+        index: dense_ranks(family[attr.name])
+        for index, attr in enumerate(schema.attributes)
+        if attr.is_numerical
+    }
+
+
+def dense_ranks(column: np.ndarray) -> np.ndarray:
+    """Integer ranks that sort exactly as ``column``'s stable float argsort.
+
+    Equal values share a rank — so do ``-0.0`` and ``0.0``, which compare
+    equal — and every NaN gets the one last rank, since the argsort puts
+    NaNs last in row order.  The ranks are int16 when they fit, which
+    numpy's stable argsort radix-sorts.
+    """
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    new = np.ones(len(column), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    new[1:] &= ~np.isnan(ordered[:-1])
+    ranks = np.cumsum(new) - 1
+    fits = len(ranks) == 0 or ranks[-1] <= np.iinfo(np.int16).max
+    out = np.empty(len(column), dtype=np.int16 if fits else np.int32)
+    out[order] = ranks
+    return out
+
+
+def _row_dtype(n: int) -> type:
+    """Row ids are int32 (half the memory of intp) where they fit."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.intp
+
+
+def _grow_roots(
+    family: np.ndarray,
+    rows_of: np.ndarray | None,
+    sizes: list[int] | np.ndarray,
+    orders: dict[int, np.ndarray],
+    schema: Schema,
+    measure: ImpurityMeasure,
+    kernels: KernelBackend,
+    config: SplitConfig,
+    expand: Callable[[list[Node]], np.ndarray] | None = None,
+) -> list[DecisionTree]:
+    """Grow one tree per run of ``sizes`` consecutive (virtual) rows.
+
+    ``rows_of`` maps virtual rows to rows of ``family`` (``None``: the
+    identity); ``orders`` holds each numeric attribute's virtual rows
+    grouped by root and stably sorted by value within a root.
+    """
     n_classes = schema.n_classes
     labels = family[CLASS_COLUMN]
-    root = Node(0, 0, kernels.class_histogram(labels, n_classes))
-    frontier = [root]
-    counts = root.class_counts[np.newaxis, :]
-    if _grows(counts, 0, config)[0]:
-        _grow(family, schema, measure, kernels, config, frontier, counts)
-    _number_preorder(root)
-    return DecisionTree(schema, root)
+    if rows_of is not None:
+        labels = labels[rows_of]
+    ids = _row_dtype(len(labels))
+    counts = _node_class_counts(
+        np.repeat(np.arange(len(sizes), dtype=ids), sizes),
+        labels, len(sizes), n_classes,
+    )
+    roots = [Node(0, 0, root_counts.copy()) for root_counts in counts]
+    grows = _grows(counts, 0, config)
+    if grows.any():
+        node_of = np.repeat(np.where(grows, np.cumsum(grows) - 1, -1).astype(ids), sizes)
+        rows = np.arange(len(labels), dtype=ids)
+        if not grows.all():
+            rows = rows[node_of >= 0]
+            orders = {
+                index: order[node_of[order] >= 0] for index, order in orders.items()
+            }
+        _grow(
+            family, rows_of, labels, schema, measure, kernels, config,
+            [roots[r] for r in np.flatnonzero(grows).tolist()], counts[grows],
+            node_of, rows, orders, expand,
+        )
+    for root in roots:
+        _number_preorder(root)
+    return [DecisionTree(schema, root) for root in roots]
 
 
 def _grows(counts: np.ndarray, depth: int, config: SplitConfig) -> np.ndarray:
@@ -85,27 +215,32 @@ def _grows(counts: np.ndarray, depth: int, config: SplitConfig) -> np.ndarray:
 
 def _grow(
     family: np.ndarray,
+    rows_of: np.ndarray | None,
+    labels: np.ndarray,
     schema: Schema,
     measure: ImpurityMeasure,
     kernels: KernelBackend,
     config: SplitConfig,
     frontier: list[Node],
     counts: np.ndarray,
+    node_of: np.ndarray,
+    rows: np.ndarray,
+    orders: dict[int, np.ndarray],
+    expand: Callable[[list[Node]], np.ndarray] | None,
 ) -> None:
-    """Split ``frontier`` (class counts ``counts``) level by level, in place."""
+    """Split ``frontier`` (class counts ``counts``) level by level, in place.
+
+    ``node_of`` maps every virtual row to its frontier node (-1: none);
+    ``rows`` and ``orders`` list the frontier's rows grouped by node.
+    """
     n_classes = schema.n_classes
-    labels = family[CLASS_COLUMN]
-    n = len(family)
-    # Row ids are int32 (half the memory of the per-attribute lists).
-    ids = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    # Rows of the frontier grouped by node, original order within a node.
-    rows = np.arange(n, dtype=ids)
-    node_of = np.zeros(n, dtype=ids)
-    orders = {
-        index: np.argsort(family[attr.name], kind="stable").astype(ids)
-        for index, attr in enumerate(schema.attributes)
-        if attr.is_numerical
-    }
+    n = len(labels)
+
+    def gather(name: str, at: np.ndarray) -> np.ndarray:
+        # ``take`` gathers through int32/int16 indices without an intp copy.
+        column = family[name]
+        return column[at] if rows_of is None else column.take(rows_of.take(at))
+
     # One selector matrix, as wide as any exhaustive search can be.
     domains = [attr.domain_size for attr in schema.attributes if not attr.is_numerical]
     selectors = exhaustive_selectors(
@@ -136,16 +271,16 @@ def _grow(
                 if in_search is not None:
                     order = order[in_search[order]]
                 value, makers[index] = _numeric_search(
-                    index, order, family[attr.name], labels, node_of,
+                    index, gather(attr.name, order), labels[order], node_of[order],
                     search_counts, search_starts, measure, kernels,
                     config.min_samples_leaf,
                 )
             else:
                 value, makers[index] = _categorical_search(
-                    index, search_rows, family[attr.name], attr.domain_size,
-                    labels, node_of, search_counts, measure, kernels,
-                    config.min_samples_leaf, config.max_categorical_exhaustive,
-                    selectors,
+                    index, gather(attr.name, search_rows), attr.domain_size,
+                    labels[search_rows], node_of[search_rows], search_counts,
+                    measure, kernels, config.min_samples_leaf,
+                    config.max_categorical_exhaustive, selectors,
                 )
             better = value < best_value
             best_value[better] = value[better]
@@ -166,7 +301,7 @@ def _grow(
             on_attr[split_nodes[best_attr[split_nodes] == index]] = True
             at = on_attr[row_node].nonzero()[0]
             go_left[at] = _route(
-                schema, index, family[schema[index].name][rows[at]],
+                schema, index, gather(schema[index].name, rows[at]),
                 row_node[at], splits, n_nodes,
             )
         rank = split_rank[row_node]
@@ -183,6 +318,8 @@ def _grow(
             children += (left, right)
 
         grows = _grows(child_counts, depth + 1, config)
+        if expand is not None:
+            grows &= np.repeat(expand([frontier[j] for j in split_nodes]), 2)
         next_index = np.where(grows, np.cumsum(grows) - 1, -1)
         node_of[rows] = np.where(routed, next_index[child], -1)
         n_next = int(grows.sum())
@@ -256,22 +393,23 @@ def _first_min(
 
 def _numeric_search(
     index: int,
-    order: np.ndarray,
-    column: np.ndarray,
-    labels: np.ndarray,
-    node_of: np.ndarray,
+    values: np.ndarray,
+    sorted_labels: np.ndarray,
+    node: np.ndarray,
     counts: np.ndarray,
     starts: np.ndarray,
     measure: ImpurityMeasure,
     kernels: KernelBackend,
     min_samples_leaf: int,
 ) -> _Search:
-    """Best ``X <= x`` split per node from the node-grouped sorted order."""
+    """Best ``X <= x`` split per node from the node-grouped sorted order.
+
+    ``values``, ``sorted_labels`` and ``node`` are the attribute values,
+    labels and frontier nodes of the rows in that order.
+    """
     n_nodes, n_classes = counts.shape
-    node = node_of[order]
-    values = column[order]
     # A candidate is the last row of each run of equal values in a node.
-    last = np.ones(len(order), dtype=bool)
+    last = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=last[:-1])
     last[:-1] |= node[1:] != node[:-1]
     candidate = last.nonzero()[0]
@@ -286,8 +424,7 @@ def _numeric_search(
     candidate = candidate[admissible]
     cand_node = cand_node[admissible]
     left = np.empty((len(candidate), n_classes), dtype=np.int64)
-    sorted_labels = labels[order]
-    running = np.zeros(len(order) + 1, dtype=np.int64)
+    running = np.zeros(len(values) + 1, dtype=np.int64)
     for c in range(n_classes - 1):
         np.cumsum(sorted_labels == c, out=running[1:])
         left[:, c] = running[candidate + 1] - running[starts[cand_node]]
@@ -303,11 +440,10 @@ def _numeric_search(
 
 def _categorical_search(
     index: int,
-    rows: np.ndarray,
-    column: np.ndarray,
+    codes: np.ndarray,
     domain_size: int,
     labels: np.ndarray,
-    node_of: np.ndarray,
+    node: np.ndarray,
     counts: np.ndarray,
     measure: ImpurityMeasure,
     kernels: KernelBackend,
@@ -317,11 +453,12 @@ def _categorical_search(
 ) -> _Search:
     """Best ``X in Y`` split per node from one (node, code, class) bincount.
 
+    ``codes``, ``labels`` and ``node`` describe the searched rows.
     ``selectors`` is ``exhaustive_selectors(w)`` for a ``w`` at least as
     large as any node's present-category count searched exhaustively.
     """
     n_nodes, n_classes = counts.shape
-    key = (node_of[rows] * domain_size + column[rows]) * n_classes + labels[rows]
+    key = (node * domain_size + codes) * n_classes + labels
     joint = np.bincount(key, minlength=n_nodes * domain_size * n_classes).reshape(
         n_nodes, domain_size, n_classes
     )

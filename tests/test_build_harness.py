@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.config import BoatConfig, SplitConfig
 from repro.core import boat_build
 from repro.datagen import AgrawalConfig, AgrawalGenerator
-from repro.exceptions import RecoveryError, ShardError, StorageError
+from repro.exceptions import RecoveryError, ReproError, ShardError, StorageError
 from repro.forest import forest_build, forest_to_json
 from repro.observability import Tracer
 from repro.recovery import resume_build
@@ -218,6 +218,12 @@ class TestForestKnobs:
             forest_build(flat_table, 2, GINI, SPLIT, _config(str(ckpt)))
         assert flat_table.io_stats.tuples_read == 0
         assert not ckpt.exists()
+
+    def test_sql_pushdown_refused_before_any_scan(self, flat_table):
+        """As the CLI refuses ``--forest --sql-pushdown``, so does the API."""
+        with pytest.raises(ReproError, match="sql_pushdown"):
+            forest_build(flat_table, 2, GINI, SPLIT, _config(sql_pushdown=True))
+        assert flat_table.io_stats.tuples_read == 0
 
     @pytest.mark.parametrize("fail_on_scan", [0, 1])
     def test_scan_retries_absorb_a_transient_fault(

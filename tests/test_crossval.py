@@ -5,9 +5,9 @@ import pytest
 
 from repro.config import BoatConfig, SplitConfig
 from repro.core import boat_cross_validate
-from repro.exceptions import SplitSelectionError
+from repro.exceptions import RecoveryError, SplitSelectionError
 from repro.splits import ImpuritySplitSelection
-from repro.storage import DiskTable, IOStats, MemoryTable
+from repro.storage import DiskTable, FaultyTable, IOStats, MemoryTable
 from repro.tree import build_reference_tree, tree_diff
 
 from .conftest import simple_xy_data
@@ -81,3 +81,44 @@ class TestCrossValidate:
         tiny = MemoryTable(small_schema, data[:2])
         with pytest.raises(SplitSelectionError):
             boat_cross_validate(tiny, 5, GINI, SPLIT, BOAT)
+
+
+class TestCrossValidateConfigKnobs:
+    """``checkpoint_dir`` is refused and ``scan_retries`` is honoured, as
+    in ``forest_build``."""
+
+    def test_checkpoint_dir_refused_before_any_scan(self, tmp_path, small_schema):
+        data = simple_xy_data(small_schema, 2000, seed=7, rule="xy")
+        inner = MemoryTable(small_schema, data)
+        table = FaultyTable(inner, fail_on_scan=99)
+        checkpoint = tmp_path / "ckpt"
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        config = BoatConfig(
+            sample_size=1000, bootstrap_repetitions=6, seed=4,
+            checkpoint_dir=str(checkpoint),
+        )
+        with pytest.raises(RecoveryError, match="checkpoint_dir"):
+            boat_cross_validate(table, 4, GINI, SPLIT, config, spill_dir=str(spill))
+        assert table.scans_started == 0
+        assert not checkpoint.exists()
+        assert not list(spill.iterdir())
+
+    @pytest.mark.parametrize("scan", [0, 1, 2], ids=["sample", "cleanup", "evaluate"])
+    def test_one_shot_fault_absorbed_by_scan_retries(self, small_schema, scan):
+        data = simple_xy_data(small_schema, 4000, seed=8, rule="xy")
+        clean = boat_cross_validate(
+            MemoryTable(small_schema, data), 4, GINI, SPLIT, BOAT
+        )
+        faulty = FaultyTable(
+            MemoryTable(small_schema, data), fail_on_scan=scan, fail_at_row=1500
+        )
+        config = BoatConfig(
+            sample_size=1000, bootstrap_repetitions=6, seed=4,
+            scan_retries=1, scan_retry_base_delay_s=0.0,
+        )
+        result = boat_cross_validate(faulty, 4, GINI, SPLIT, config)
+        assert faulty.scans_started == 4  # three scans plus one retry
+        assert result.fold_errors == clean.fold_errors
+        for ours, reference in zip(result.trees, clean.trees):
+            assert tree_diff(ours, reference) is None

@@ -563,6 +563,38 @@ class TestShardedCheckpointResume:
         assert trees_equal(result.tree, reference_tree)
         assert result.shard_report.restored_units == 1
 
+    def test_resume_that_restores_no_unit_counts_one_full_scan(
+        self, tmp_path, flat_table, reference_tree
+    ):
+        """Both units of a 2-shard build fail, so the checkpoint holds no
+        unit: the resume reads the whole table, one logical full scan, as
+        a flat resume from row 0 does."""
+        shard_dir = tmp_path / "shards"
+        ckpt = tmp_path / "ckpt"
+        partition_table(flat_table, shard_dir, 2)
+        table = ShardedTable.open(shard_dir, IOStats())
+        inner = make_transport("inprocess", table.shard_paths)
+        faulty = FaultyTransport(
+            FaultyTransport(inner, "drop", shard_id=0, at_request=1),
+            "drop",
+            shard_id=1,
+            at_request=1,
+        )
+        try:
+            with pytest.raises(ShardError, match="failed permanently"):
+                sharded_boat_build(
+                    table, _method(), SPLIT, _config(checkpoint_dir=str(ckpt)),
+                    transport=faulty, elastic=self.STRICT,
+                )
+        finally:
+            faulty.close()
+            table.close()
+        assert not os.listdir(ckpt / "units")
+        result = self._resume(shard_dir, ckpt)
+        assert trees_equal(result.tree, reference_tree)
+        assert result.shard_report.restored_units == 0
+        assert result.report.io["cleanup_scan"].full_scans == 1
+
     def test_resume_requires_checkpoint_dir(self, shard2_dir):
         table = ShardedTable.open(shard2_dir, IOStats())
         try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
+from repro.core import state
 from repro.core import (
     BoatNode,
     CoarseCategorical,
@@ -164,6 +165,37 @@ class TestMultisetRemove:
     def test_remove_all(self, small_schema):
         data = simple_xy_data(small_schema, 5, seed=14)
         assert len(multiset_remove(data, data)) == 0
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_earliest_matches_go_across_blocks(self, monkeypatch, block_rows):
+        """Blockwise comparison removes exactly the rows a row-by-row scan does."""
+        monkeypatch.setattr(state, "REMOVE_BLOCK_ROWS", block_rows)
+        dtype = np.dtype([("a", "<f8"), ("b", "<i4")])
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            haystack = np.zeros(int(rng.integers(1, 40)), dtype)
+            # Few distinct records: duplicates straddle block edges; -0.0
+            # and NaN match only bitwise.
+            haystack["a"] = rng.choice([0.0, -0.0, np.nan, 1.5], len(haystack))
+            haystack["b"] = rng.integers(0, 2, len(haystack))
+            needles = haystack[rng.integers(0, len(haystack), rng.integers(1, 8))]
+            if rng.random() < 0.2:
+                needles["b"][-1] = 7  # a record never inserted
+            pending = {}
+            for record in needles:
+                pending[record.tobytes()] = pending.get(record.tobytes(), 0) + 1
+            keep = np.ones(len(haystack), dtype=bool)
+            for i, record in enumerate(haystack):
+                if pending.get(record.tobytes(), 0):
+                    pending[record.tobytes()] -= 1
+                    keep[i] = False
+            expected = haystack[keep] if not any(pending.values()) else None
+            if expected is None:
+                with pytest.raises(StorageError):
+                    multiset_remove(haystack, needles)
+            else:
+                got = multiset_remove(haystack, needles)
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestEffectiveStats:
