@@ -108,10 +108,11 @@ class BoatConfig:
         seed: seed for the sampling phase RNG.  Changing it changes speed
             (which subtrees need rebuilding), never the output tree.
         batch_rows: scan batch granularity.
-        n_workers: worker count for the parallel phases (cleanup scan,
-            frontier prefetch, and the per-repetition bootstrap of QUEST
-            and the ``python`` backend).  ``1`` runs
-            everything serially; ``0`` uses one worker per CPU.  Like
+        n_workers: worker count for the parallel phases: the cleanup
+            scan's batch routing, and the per-repetition bootstrap of
+            QUEST and the ``python`` backend.  Finalization always runs
+            on the calling thread.  ``1`` runs everything serially;
+            ``0`` uses one worker per CPU.  Like
             every BOAT knob this affects speed only — the output tree is
             bit-identical at any worker count.
         parallel_backend: ``"auto"`` (process pool when ``n_workers`` > 1),

@@ -1,6 +1,6 @@
 """BOAT core: sampling phase, cleanup scan, finalization, incremental maintenance."""
 
-from .boat import BoatReport, BoatResult, boat_build, make_build_pool
+from .boat import BoatReport, BoatResult, boat_build
 from .bootstrap import (
     SamplingReport,
     SamplingResult,
@@ -21,7 +21,6 @@ from .finalize import (
     Finalizer,
     config_at_depth,
     finalize_tree,
-    prefetch_frontier_subtrees,
     reference_rebuild,
 )
 from .crossval import CrossValidationResult, boat_cross_validate
@@ -72,9 +71,7 @@ __all__ = [
     "finalize_tree",
     "interval_bucket_range",
     "interval_forced_edges",
-    "make_build_pool",
     "multiset_remove",
-    "prefetch_frontier_subtrees",
     "reference_rebuild",
     "routing_expression",
     "sampling_phase",

@@ -41,18 +41,17 @@ from ..exceptions import ReproError, StorageError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, TraceReport, Tracer
 from ..parallel import WorkerPool
-from ..storage import IOStats, Schema, Table, sample_table
+from ..storage import IOStats, Table, sample_table
 from ..tree import DecisionTree, build_reference_tree
 from .bootstrap import SamplingReport, sampling_phase
 from .cleanup import cleanup_scan, sql_source
-from .finalize import FinalizeReport, finalize_tree, prefetch_frontier_subtrees
+from .finalize import FinalizeReport, finalize_tree
 from .state import (
     BoatMethod,
     BoatNode,
     reject_float_moments,
     require_boat_method,
 )
-from .workers import init_build_context
 
 
 @dataclass
@@ -93,31 +92,6 @@ class BoatResult:
 
     tree: DecisionTree
     report: BoatReport
-
-
-def make_build_pool(
-    sample: np.ndarray,
-    schema: Schema,
-    method: BoatMethod,
-    split_config: SplitConfig,
-    boat_config: BoatConfig,
-    tracer: Tracer | NullTracer | None = None,
-) -> WorkerPool:
-    """The worker pool for one BOAT build, carrying the shared build context.
-
-    Process workers receive (sample, schema, method, split config,
-    subsample size) once through the pool initializer; the thread and
-    serial backends run the same initializer in the parent.  Use as a
-    context manager so workers are reclaimed when the build ends.
-    """
-    subsample = boat_config.bootstrap_subsample or len(sample)
-    return WorkerPool(
-        boat_config.n_workers,
-        boat_config.parallel_backend,
-        initializer=init_build_context,
-        initargs=(sample, schema, method, split_config, subsample),
-        tracer=tracer,
-    )
 
 
 def _resolve_tracer(
@@ -307,8 +281,8 @@ def boat_build(
             run.stop("in_memory_build")
             run.report.mode = "in-memory"
             return BoatResult(tree=tree, report=run.done(checkpoint))
-        with make_build_pool(
-            sample, table.schema, method, split_config, boat_config, tracer
+        with WorkerPool(
+            boat_config.n_workers, boat_config.parallel_backend, tracer=tracer
         ) as pool:
             result = sampling_phase(
                 sample,
@@ -354,15 +328,7 @@ def boat_build(
                 checkpoint.checkpoint_cleanup(root, len(table))
 
             tree = run.finalize(
-                lambda: finalize_tree(
-                    root,
-                    table.schema,
-                    method,
-                    split_config,
-                    prefetch=prefetch_frontier_subtrees(
-                        root, table.schema, method, split_config, pool
-                    ),
-                ),
+                lambda: finalize_tree(root, table.schema, method, split_config),
                 pool,
             )
     return BoatResult(tree=tree, report=run.done(checkpoint))

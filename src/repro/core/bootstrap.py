@@ -43,14 +43,13 @@ from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split
 from ..splits.numeric import numeric_profile
 from ..splits.quest import QuestSplitSelection
-from ..storage import CLASS_COLUMN, IOStats, Schema, bootstrap_indices
-from ..tree import DecisionTree, Node, tree_from_dict
+from ..storage import CLASS_COLUMN, IOStats, Schema, bootstrap_indices, bootstrap_resample
+from ..tree import DecisionTree, Node, build_reference_tree
 from ..tree.builder import _grows_levelwise
 from ..tree.grower import grow_resamples, rank_columns
 from .coarse import CoarseCategorical, CoarseNumeric
 from .discretize import build_discretization, interval_forced_edges
 from .state import BoatMethod, BoatNode, require_boat_method
-from .workers import bootstrap_trees_task, init_build_context
 
 
 @dataclass
@@ -438,15 +437,11 @@ def build_bootstrap_trees(
     (:class:`_AgreementBound`); without it every tree is grown in full.
 
     Every other method (QUEST, the ``python`` oracle backend, subclasses
-    with their own ``choose_split``) grows one tree per repetition,
-    optionally on ``pool``.  The serial path and every pool backend
+    with their own ``choose_split``) grows one tree per repetition
+    (:func:`grow_repetitions`), optionally on ``pool``.  Each task carries
+    everything it reads, so the serial path and every pool backend
     produce bit-identical trees; a pool merely changes where the work
     runs.
-
-    ``pool``, when parallel, must have been created with
-    :func:`repro.core.workers.init_build_context` as its initializer and
-    this call's (sample, schema, method, split_config, subsample) as the
-    init args — :func:`repro.core.boat.make_build_pool` does exactly that.
     """
     subsample = boat_config.bootstrap_subsample or len(sample)
     repetitions = boat_config.bootstrap_repetitions
@@ -472,15 +467,39 @@ def build_bootstrap_trees(
                 split_config, bound,
             )
         return trees
-    if pool is not None and pool.is_parallel:
-        # ~2 chunks per worker balances load against per-task overhead.
-        chunk_size = max(1, -(-repetitions // (pool.n_workers * 2)))
-        parts = pool.map(bootstrap_trees_task, chunked(children, chunk_size))
-        tree_dicts = [d for part in parts for d in part]
-    else:
-        init_build_context(sample, schema, method, split_config, subsample)
-        tree_dicts = bootstrap_trees_task(children)
-    return [tree_from_dict(d) for d in tree_dicts]
+    task = (sample, schema, method, split_config, subsample)
+    if pool is None or not pool.is_parallel:
+        return grow_repetitions(task + (children,))
+    # ~2 chunks per worker balances load against per-task overhead.
+    chunk_size = max(1, -(-repetitions // (pool.n_workers * 2)))
+    parts = pool.map(
+        grow_repetitions, [task + (part,) for part in chunked(children, chunk_size)]
+    )
+    return [tree for part in parts for tree in part]
+
+
+def grow_repetitions(task: tuple) -> list[DecisionTree]:
+    """Grow one bootstrap tree per seed child, the per-repetition bootstrap.
+
+    ``task`` is (sample, schema, method, split config, subsample, seed
+    children): everything the task reads, so it runs unchanged on any
+    pool backend and keeps no state between calls.  Each repetition's
+    generator is seeded from its own deterministically spawned
+    :class:`~numpy.random.SeedSequence` child, so the resample — and
+    therefore the tree — depends only on the child, never on which
+    worker ran it or in what order.  A process pool pickles the returned
+    trees, which keeps their split points bit for bit.
+    """
+    sample, schema, method, split_config, subsample, children = task
+    return [
+        build_reference_tree(
+            bootstrap_resample(sample, subsample, np.random.default_rng(child)),
+            schema,
+            method,
+            split_config,
+        )
+        for child in children
+    ]
 
 
 def _levels(trees: list[DecisionTree]) -> int:
@@ -519,8 +538,8 @@ def sampling_phase(
         rng: drives the bootstrap seeding only.
         pool: optional worker pool for growing per-repetition bootstrap
             trees concurrently (see :func:`build_bootstrap_trees` for the
-            initializer contract and the methods it applies to).  The
-            output is identical with or without it.
+            methods it applies to).  The output is identical with or
+            without it.
         tracer: records the ``bootstrap`` (tree growing) and ``coarse``
             (skeleton intersection) spans.
         durable_dir: checkpointed builds pass their spill directory here

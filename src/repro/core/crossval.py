@@ -29,10 +29,12 @@ from ..config import BoatConfig, SplitConfig
 from ..exceptions import RecoveryError, SplitSelectionError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER
+from ..parallel import WorkerPool
 from ..recovery.retry import wrap_retry
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import CLASS_COLUMN, Table
 from ..tree import DecisionTree, build_reference_tree
+from .boat import BuildHarness
 from .bootstrap import sampling_phase
 from .cleanup import shared_cleanup_scan
 from .finalize import finalize_tree
@@ -74,7 +76,11 @@ def boat_cross_validate(
     """k-fold cross-validation sharing scans across all folds.
 
     ``boat_config.scan_retries`` absorbs transient errors in all three
-    scans, as in ``boat_build``; ``checkpoint_dir`` is refused with a
+    scans, as in ``boat_build``, and an error that outlives the retries
+    surfaces as a :class:`~repro.exceptions.StorageError` after every
+    fold skeleton's stores (and spill files) are released.  The shared
+    cleanup scan routes batches on ``boat_config.n_workers`` threads.
+    ``checkpoint_dir`` is refused with a
     :class:`~repro.exceptions.RecoveryError` before any scan, since
     cross-validation cannot be checkpointed or resumed.
     """
@@ -94,94 +100,98 @@ def boat_cross_validate(
     rng = np.random.default_rng(boat_config.seed)
     schema = table.schema
     n = len(table)
+    run = BuildHarness(None, None, NULL_TRACER, boat_config, "cross-validation")
 
-    # -- scan 1: one shared sample, with global positions retained -------
-    size = min(boat_config.sample_size, n)
-    chosen = np.sort(rng.choice(n, size=size, replace=False))
-    sample = schema.empty(size)
-    sample_positions = chosen
-    filled = 0
-    offset = 0
-    for batch in scan_table.scan(boat_config.batch_rows):
-        lo = np.searchsorted(chosen, offset, side="left")
-        hi = np.searchsorted(chosen, offset + len(batch), side="left")
-        if hi > lo:
-            sample[filled : filled + hi - lo] = batch[chosen[lo:hi] - offset]
-            filled += hi - lo
-        offset += len(batch)
-    scans = 1
+    with run.guard():
+        # -- scan 1: one shared sample, with global positions retained ---
+        size = min(boat_config.sample_size, n)
+        chosen = np.sort(rng.choice(n, size=size, replace=False))
+        sample = schema.empty(size)
+        sample_positions = chosen
+        filled = 0
+        offset = 0
+        for batch in scan_table.scan(boat_config.batch_rows):
+            lo = np.searchsorted(chosen, offset, side="left")
+            hi = np.searchsorted(chosen, offset + len(batch), side="left")
+            if hi > lo:
+                sample[filled : filled + hi - lo] = batch[chosen[lo:hi] - offset]
+                filled += hi - lo
+            offset += len(batch)
+        scans = 1
 
-    small = size >= n  # whole table in memory: fall back per fold
-    sample_folds = sample_positions % k
-    skeletons = []
-    if not small:
-        for fold in range(k):
-            training_sample = sample[sample_folds != fold]
-            result = sampling_phase(
-                training_sample,
-                schema,
-                method,
-                split_config,
-                boat_config,
-                n - n // k,
-                rng,
-                spill_dir,
-                table.io_stats,
-            )
-            skeletons.append(result.root)
-
-        # -- scan 2: shared cleanup scan ---------------------------------
-        kernels = get_kernels(boat_config.kernel_backend)
-
-        def fold_sink(fold: int, skeleton):
-            plan = compile_skeleton(skeleton, schema)
-
-            def sink(batch: np.ndarray, offset: int):
-                folds = (offset + np.arange(len(batch))) % k
-                deltas = plan.deltas(batch[folds != fold], kernels)
-                return lambda: apply_batch_delta(deltas)
-
-            return sink
-
-        shared_cleanup_scan(
-            scan_table,
-            [fold_sink(fold, s) for fold, s in enumerate(skeletons)],
-            boat_config.batch_rows,
-            labels=[f"fold-{fold}" for fold in range(k)],
-        )
-        scans += 1
-
-        trees = []
-        for skeleton in skeletons:
-            tree, _ = finalize_tree(skeleton, schema, method, split_config)
-            trees.append(tree)
-            skeleton.release()
-    else:
-        family = sample  # == the full table
-        trees = []
-        for fold in range(k):
-            trees.append(
-                build_reference_tree(
-                    family[sample_folds != fold], schema, method, split_config
+        small = size >= n  # whole table in memory: fall back per fold
+        sample_folds = sample_positions % k
+        skeletons = []
+        if not small:
+            for fold in range(k):
+                training_sample = sample[sample_folds != fold]
+                result = sampling_phase(
+                    training_sample,
+                    schema,
+                    method,
+                    split_config,
+                    boat_config,
+                    n - n // k,
+                    rng,
+                    spill_dir,
+                    table.io_stats,
                 )
-            )
+                skeletons.append(run.hold(result.root))
 
-    # -- scan 3: held-out evaluation, all folds in one pass ---------------
-    errors = np.zeros(k, dtype=np.int64)
-    totals = np.zeros(k, dtype=np.int64)
-    offset = 0
-    for batch in scan_table.scan(boat_config.batch_rows):
-        folds = (offset + np.arange(len(batch))) % k
-        for fold in range(k):
-            mask = folds == fold
-            if not mask.any():
-                continue
-            rows = batch[mask]
-            predicted = trees[fold].predict(rows)
-            errors[fold] += int(np.sum(predicted != rows[CLASS_COLUMN]))
-            totals[fold] += len(rows)
-        offset += len(batch)
-    scans += 1
+            # -- scan 2: shared cleanup scan -----------------------------
+            kernels = get_kernels(boat_config.kernel_backend)
+
+            def fold_sink(fold: int, skeleton):
+                plan = compile_skeleton(skeleton, schema)
+
+                def sink(batch: np.ndarray, offset: int):
+                    folds = (offset + np.arange(len(batch))) % k
+                    deltas = plan.deltas(batch[folds != fold], kernels)
+                    return lambda: apply_batch_delta(deltas)
+
+                return sink
+
+            with WorkerPool(boat_config.n_workers, "thread") as pool:
+                shared_cleanup_scan(
+                    scan_table,
+                    [fold_sink(fold, s) for fold, s in enumerate(skeletons)],
+                    boat_config.batch_rows,
+                    pool,
+                    labels=[f"fold-{fold}" for fold in range(k)],
+                )
+            scans += 1
+
+            trees = []
+            for skeleton in skeletons:
+                tree, _ = finalize_tree(skeleton, schema, method, split_config)
+                trees.append(tree)
+                skeleton.release()
+        else:
+            family = sample  # == the full table
+            trees = []
+            for fold in range(k):
+                trees.append(
+                    build_reference_tree(
+                        family[sample_folds != fold], schema, method, split_config
+                    )
+                )
+
+        # -- scan 3: held-out evaluation, all folds in one pass -----------
+        errors = np.zeros(k, dtype=np.int64)
+        totals = np.zeros(k, dtype=np.int64)
+        offset = 0
+        for batch in scan_table.scan(boat_config.batch_rows):
+            folds = (offset + np.arange(len(batch))) % k
+            for fold in range(k):
+                mask = folds == fold
+                if not mask.any():
+                    continue
+                rows = batch[mask]
+                predicted = trees[fold].predict(rows)
+                errors[fold] += int(np.sum(predicted != rows[CLASS_COLUMN]))
+                totals[fold] += len(rows)
+            offset += len(batch)
+        scans += 1
 
     fold_errors = [
         float(errors[f]) / totals[f] if totals[f] else 0.0 for f in range(k)

@@ -53,13 +53,12 @@ import numpy as np
 
 from ..config import SplitConfig, config_at_depth
 from ..kernels import DEFAULT_KERNELS
-from ..parallel import WorkerPool
 from ..splits.base import CategoricalSplit, NumericSplit
 from ..splits.categorical import best_categorical_split_from_counts
 from ..splits.numeric import numeric_profile
 from ..splits.quest import QuestSplitSelection, QuestSufficientStats
 from ..storage import CLASS_COLUMN, Schema
-from ..tree import DecisionTree, Node, build_reference_tree, tree_from_dict
+from ..tree import DecisionTree, Node, build_reference_tree
 from .bounds import admissible_bucket_mask, bucket_lower_bounds
 from .coarse import CoarseCategorical, CoarseNumeric
 from .discretize import interval_bucket_range, point_bucket_mask
@@ -70,7 +69,6 @@ from .state import (
     collect_family,
     effective_stats,
 )
-from .workers import frontier_subtree_task
 
 #: Static rebuild strategy: collected family + depth -> finished subtree.
 RebuildFn = Callable[[np.ndarray, int], Node]
@@ -90,7 +88,6 @@ class FinalizeReport:
     confirmed_splits: int = 0
     leaves: int = 0
     frontier_completions: int = 0
-    frontier_prefetch_hits: int = 0
     cache_hits: int = 0
     rebuilds: int = 0
     rebuilt_tuples: int = 0
@@ -110,7 +107,6 @@ class Finalizer:
         keep_state: bool = False,
         skeleton_rebuild: SkeletonRebuildFn | None = None,
         id_counter: Iterator[int] | None = None,
-        prefetch: dict[int, Node] | None = None,
     ):
         self._schema = schema
         self._method = method
@@ -124,7 +120,6 @@ class Finalizer:
         self._rebuild = rebuild or reference_rebuild(schema, method, config)
         self._keep_state = keep_state
         self._skeleton_rebuild = skeleton_rebuild
-        self._prefetch = prefetch or {}
         self._ids = id_counter if id_counter is not None else itertools.count()
         self._fresh_nodes: set[int] = set()
         self.report = FinalizeReport()
@@ -290,12 +285,6 @@ class Finalizer:
             self.report.leaves += 1
             return self._leaf(node.depth, counts)
         self.report.frontier_completions += 1
-        # A prefetched completion (built concurrently before this pass) is
-        # valid only when nothing was inherited from ancestors — exactly
-        # the eligibility rule of :func:`prefetch_frontier_subtrees`.
-        if len(inherited) == 0 and node.node_id in self._prefetch:
-            self.report.frontier_prefetch_hits += 1
-            return self._graft(self._prefetch.pop(node.node_id), node.depth)
         family = collect_family(node, inherited, self._schema)
         sub = build_reference_tree(
             family, self._schema, self._method, config_at_depth(self._config, node.depth)
@@ -583,76 +572,12 @@ def reference_rebuild(
     return rebuild
 
 
-def prefetch_frontier_subtrees(
-    root: BoatNode,
-    schema: Schema,
-    method: BoatMethod,
-    config: SplitConfig,
-    pool: WorkerPool | None,
-) -> dict[int, Node]:
-    """Concurrently pre-build frontier completions the sequential pass may need.
-
-    The prefetch is *optimistic*, like BOAT itself: a completion built from
-    a frontier node's family store alone is the correct subtree only if the
-    node inherits nothing from its ancestors at finalization time (held
-    tuples are re-routed during the pass, and their destination depends on
-    each exact split — unknowable in advance).  The finalizer therefore
-    consumes an entry only when the inherited set turns out empty; misses
-    and entries orphaned by a rebuild above them simply go unused.  Certain
-    leaves (pure, under ``min_samples_split``, or at ``max_depth``) are
-    skipped because the finalizer decides them without building anything.
-
-    Returns a map ``node_id -> subtree root`` consumed by
-    :class:`Finalizer`.  Prefetched subtrees are built by the exact
-    in-memory completion code path, so a hit changes nothing about the
-    output tree.  ``pool`` must carry the worker build context when its
-    backend is ``"process"`` (see :mod:`repro.core.workers`).
-    """
-    if pool is None or not pool.is_parallel:
-        return {}
-    candidates: list[BoatNode] = []
-
-    def walk(node: BoatNode) -> None:
-        if node.is_frontier:
-            counts = node.class_counts
-            certain_leaf = (
-                int(counts.sum()) < config.min_samples_split
-                or np.count_nonzero(counts) <= 1
-                or (config.max_depth is not None and node.depth >= config.max_depth)
-            )
-            if not certain_leaf:
-                candidates.append(node)
-            return
-        if node.left is not None:
-            walk(node.left)
-        if node.right is not None:
-            walk(node.right)
-
-    walk(root)
-    if not candidates:
-        return {}
-    empty = schema.empty(0)
-    items = [(collect_family(node, empty, schema), node.depth) for node in candidates]
-    if pool.backend == "process":
-        roots = [tree_from_dict(d).root for d in pool.map(frontier_subtree_task, items)]
-    else:
-        def build(item: tuple[np.ndarray, int]) -> Node:
-            family, depth = item
-            return build_reference_tree(
-                family, schema, method, config_at_depth(config, depth)
-            ).root
-
-        roots = pool.map(build, items)
-    return {node.node_id: sub for node, sub in zip(candidates, roots)}
-
-
 def finalize_tree(
     root: BoatNode,
     schema: Schema,
     method: BoatMethod,
     config: SplitConfig,
     rebuild: RebuildFn | None = None,
-    prefetch: dict[int, Node] | None = None,
 ) -> tuple[DecisionTree, FinalizeReport]:
     """Run one static finalization pass over a populated skeleton.
 
@@ -660,7 +585,7 @@ def finalize_tree(
     (impurity-based or QUEST); ``rebuild`` defaults to the in-memory
     reference builder.
     """
-    finalizer = Finalizer(schema, method, config, rebuild, prefetch=prefetch)
+    finalizer = Finalizer(schema, method, config, rebuild)
     tree = finalizer.run(root)
     tree.validate()
     return tree, finalizer.report

@@ -1,16 +1,17 @@
 """Worker-pool execution layer shared by every parallel phase.
 
-BOAT's phases are embarrassingly parallel in different ways: the sampling
-phase grows ``b`` independent bootstrap trees (per repetition for QUEST
-and the ``python`` backend), the cleanup scan routes
-independent table batches down a read-only skeleton, and finalization
-completes independent frontier families in memory.  :class:`WorkerPool`
-gives all three one facade over ``concurrent.futures`` with three
-backends:
+BOAT's parallel phases are embarrassingly parallel in different ways:
+the sampling phase grows ``b`` independent bootstrap trees (per
+repetition for QUEST and the ``python`` backend), and the cleanup scan
+routes independent table batches down a read-only skeleton.
+Finalization does not run on the pool: it is one top-down pass whose
+frontier completions depend on the tuples their ancestors route to them.
+:class:`WorkerPool` gives both phases one facade over
+``concurrent.futures`` with three backends:
 
 * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
   task functions and their arguments must be picklable (module-level
-  functions, plain data).
+  functions, plain data), and each task carries everything it reads.
 * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
   tasks share the parent's address space (the numpy kernels that
   dominate release the GIL).
@@ -37,7 +38,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .config import PARALLEL_BACKENDS
 
@@ -90,11 +91,6 @@ class WorkerPool:
         n_workers: worker count (``0`` = one per CPU).  A resolved count
             of 1 always runs serially.
         backend: ``"auto"``, ``"process"``, ``"thread"``, or ``"serial"``.
-        initializer / initargs: per-worker setup, used to ship large
-            shared state (e.g. the in-memory sample) to process workers
-            once instead of once per task.  For the thread and serial
-            backends the initializer runs once in the parent — workers
-            share its address space.
         tracer: optional :class:`~repro.observability.Tracer`; the pool
             records a ``pool_degraded`` event on it when a pool failure
             demotes execution to serial, so a trace explains why a
@@ -109,18 +105,13 @@ class WorkerPool:
         self,
         n_workers: int = 1,
         backend: str = "auto",
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
         tracer: "object | None" = None,
     ):
         self.n_workers = effective_workers(n_workers)
         self.backend = resolve_backend(backend, n_workers)
-        self._initializer = initializer
-        self._initargs = initargs
         self._tracer = tracer
         self._executor: Executor | None = None
         self._degraded = False
-        self._locally_initialized = False
         # Guards lazy executor creation: the elastic shard dispatcher
         # drives one pool from several coordinator threads at once.
         self._executor_lock = threading.Lock()
@@ -144,15 +135,6 @@ class WorkerPool:
 
     # -- internals ----------------------------------------------------------
 
-    def _ensure_local_init(self) -> None:
-        if self._initializer is not None and not self._locally_initialized:
-            self._initializer(*self._initargs)
-            self._locally_initialized = True
-
-    def _run_local(self, fn: Callable[[T], R], item: T) -> R:
-        self._ensure_local_init()
-        return fn(item)
-
     def _ensure_executor(self) -> Executor | None:
         if self._degraded or self.backend == "serial":
             return None
@@ -163,17 +145,13 @@ class WorkerPool:
                 try:
                     if self.backend == "process":
                         self._executor = ProcessPoolExecutor(
-                            max_workers=self.n_workers,
-                            initializer=self._initializer,
-                            initargs=self._initargs,
+                            max_workers=self.n_workers
                         )
                     else:
                         self._executor = ThreadPoolExecutor(
                             max_workers=self.n_workers,
                             thread_name_prefix="repro-worker",
                         )
-                        # Thread workers share the parent's globals.
-                        self._ensure_local_init()
                 except _POOL_FAILURES + (RuntimeError,):
                     self._degrade()
             return self._executor
@@ -200,14 +178,14 @@ class WorkerPool:
         items = list(items)
         executor = self._ensure_executor()
         if executor is None:
-            return [self._run_local(fn, item) for item in items]
+            return [fn(item) for item in items]
         futures: list[Future] = []
         try:
             futures = [executor.submit(fn, item) for item in items]
             return [future.result() for future in futures]
         except _POOL_FAILURES:
             self._degrade()
-            return [self._run_local(fn, item) for item in items]
+            return [fn(item) for item in items]
         finally:
             for future in futures:
                 future.cancel()
@@ -227,7 +205,7 @@ class WorkerPool:
         executor = self._ensure_executor()
         if executor is None:
             for item in iterable:
-                yield self._run_local(fn, item)
+                yield fn(item)
             return
         if prefetch is None:
             prefetch = 2 * self.n_workers
@@ -264,9 +242,9 @@ class WorkerPool:
         # Degraded: recompute everything still pending, then drain the
         # iterator inline.  fn is pure by contract, so results match.
         for item, _ in window:
-            yield self._run_local(fn, item)
+            yield fn(item)
         for item in iterator:
-            yield self._run_local(fn, item)
+            yield fn(item)
 
     def __repr__(self) -> str:
         state = "degraded" if self._degraded else self.backend

@@ -25,9 +25,7 @@ table size, :class:`SplitConfig`, and every skeleton-shaping BOAT knob),
 else :class:`~repro.exceptions.RecoveryError` — never a hybrid tree.  A
 crash *before* the skeleton checkpoint (during the sampling phase)
 leaves nothing worth resuming, so resume refuses and the build should
-simply be restarted.  Frontier prefetch is skipped on resume (the
-in-memory sample died with the predecessor); prefetch is a speed
-optimization that never changes the tree.
+simply be restarted.
 """
 
 from __future__ import annotations
@@ -140,7 +138,6 @@ def resume_build(
             # The scan is fully accumulated: checkpoint it so a crash
             # during finalization resumes with zero rows to re-read.
             manager.checkpoint_cleanup(root, len(table))
-            # No frontier prefetch: the sample died with the predecessor.
             tree = run.finalize(
                 lambda: finalize_tree(root, schema, method, split_config), pool
             )

@@ -51,12 +51,13 @@ from itertools import accumulate
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..core.boat import BoatReport, BuildHarness, make_build_pool
+from ..core.boat import BoatReport, BuildHarness
 from ..core.bootstrap import sampling_phase
-from ..core.finalize import finalize_tree, prefetch_frontier_subtrees
+from ..core.finalize import finalize_tree
 from ..core.state import BoatNode, reject_float_moments
 from ..exceptions import RecoveryError, ShardError
 from ..observability import NullTracer, Tracer
+from ..parallel import WorkerPool
 from ..recovery.checkpoint import (
     CheckpointManager,
     build_digest,
@@ -299,8 +300,8 @@ def sharded_boat_build(
                 manifest.placement,
                 manifest.schema_digest,
             )
-        with make_build_pool(
-            sample, schema, method, split_config, boat_config, tracer
+        with WorkerPool(
+            boat_config.n_workers, boat_config.parallel_backend, tracer=tracer
         ) as pool:
             result = sampling_phase(
                 sample,
@@ -337,16 +338,7 @@ def sharded_boat_build(
 
             # -- finalization (unchanged, exact) -----------------------------
             tree = run.finalize(
-                lambda: finalize_tree(
-                    root,
-                    schema,
-                    method,
-                    split_config,
-                    prefetch=prefetch_frontier_subtrees(
-                        root, schema, method, split_config, pool
-                    ),
-                ),
-                pool,
+                lambda: finalize_tree(root, schema, method, split_config), pool
             )
     # Only a fully-successful build consumes its checkpoint; a build that
     # failed (even after retries) stays resumable.
@@ -385,8 +377,7 @@ def resume_sharded_build(
 
     Returns a ``ShardedBoatResult`` whose tree is byte-identical to the
     uninterrupted build's (``report.sampling`` is ``None`` — those
-    diagnostics died with the original coordinator; frontier prefetch is
-    skipped, as in the flat resume).
+    diagnostics died with the original coordinator).
     """
     reject_float_moments(method, "resume_sharded_build")
     split_config = split_config or SplitConfig()
@@ -478,8 +469,7 @@ def resume_sharded_build(
         )
         run.stop("cleanup_scan")
 
-        # -- finalization (no prefetch: the sample died with the
-        #    original coordinator, exactly as in the flat resume) -----------
+        # -- finalization (unchanged, exact) --------------------------------
         tree = run.finalize(
             lambda: finalize_tree(root, schema, method, split_config)
         )

@@ -1,14 +1,16 @@
 """Tests for shared-scan k-fold cross-validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
 from repro.core import boat_cross_validate
-from repro.exceptions import RecoveryError, SplitSelectionError
+from repro.exceptions import RecoveryError, SplitSelectionError, StorageError
 from repro.splits import ImpuritySplitSelection
 from repro.storage import DiskTable, FaultyTable, IOStats, MemoryTable
-from repro.tree import build_reference_tree, tree_diff
+from repro.tree import build_reference_tree, tree_diff, tree_to_json
 
 from .conftest import simple_xy_data
 
@@ -122,3 +124,29 @@ class TestCrossValidateConfigKnobs:
         assert result.fold_errors == clean.fold_errors
         for ours, reference in zip(result.trees, clean.trees):
             assert tree_diff(ours, reference) is None
+
+    @pytest.mark.parametrize("scan", [0, 1, 2], ids=["sample", "cleanup", "evaluate"])
+    def test_unabsorbed_fault_releases_every_fold_store(self, tmp_path, small_schema, scan):
+        data = simple_xy_data(small_schema, 4000, seed=8, rule="xy")
+        faulty = FaultyTable(
+            MemoryTable(small_schema, data), fail_on_scan=scan, fail_at_row=2500
+        )
+        config = BoatConfig(
+            sample_size=1000, bootstrap_repetitions=6, seed=4,
+            scan_retries=0, spill_threshold_rows=50, batch_rows=500,
+        )
+        with pytest.raises(StorageError, match="cross-validation"):
+            boat_cross_validate(faulty, 4, GINI, SPLIT, config, spill_dir=str(tmp_path))
+        assert faulty.scans_started == scan + 1
+        assert not list(tmp_path.iterdir())
+
+    def test_workers_do_not_change_the_result(self, small_schema):
+        data = simple_xy_data(small_schema, 4000, seed=9, rule="xy")
+        table = MemoryTable(small_schema, data)
+        serial = boat_cross_validate(table, 4, GINI, SPLIT, BOAT)
+        threaded = boat_cross_validate(
+            table, 4, GINI, SPLIT, replace(BOAT, n_workers=2)
+        )
+        assert threaded.fold_errors == serial.fold_errors
+        for ours, reference in zip(threaded.trees, serial.trees):
+            assert tree_to_json(ours) == tree_to_json(reference)

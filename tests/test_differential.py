@@ -121,9 +121,9 @@ class TestBackendDeterminism:
             assert payload == baseline, f"{key} diverged from the serial build"
 
 
-class TestFrontierPrefetch:
-    """A decisive categorical root holds no tuples, so the speculative
-    frontier completions built before the finalize pass are consumed."""
+class TestFrontierCompletionPool:
+    """A decisive categorical root over frontier families that still need
+    real splits: finalization completes them one way at any pool."""
 
     def _separable_table(self) -> tuple[np.ndarray, Schema]:
         rng = np.random.default_rng(0)
@@ -145,40 +145,29 @@ class TestFrontierPrefetch:
         data[CLASS_COLUMN] = group ^ (x > 1.2).astype(np.int64)
         return data, schema
 
-    def test_prefetch_hits_and_tree_unchanged(self, gini_method):
+    def test_tree_and_finalize_report_equal_at_any_pool(self, gini_method):
         data, schema = self._separable_table()
         config = SplitConfig(min_samples_split=10, min_samples_leaf=3, max_depth=8)
         reference = build_reference_tree(data, schema, gini_method, config)
-        boat_config = BoatConfig(
-            sample_size=600,
-            bootstrap_repetitions=8,
-            bootstrap_subsample=400,
-            seed=5,
-            inmemory_threshold=2500,
-            n_workers=4,
-            parallel_backend="thread",
-        )
-        result = boat_build(MemoryTable(schema, data), gini_method, config, boat_config)
-        report = result.report.finalize
-        assert report.frontier_prefetch_hits == report.frontier_completions > 0
-        _assert_same_tree(result.tree, reference)
-
-    def test_serial_build_never_prefetches(self, gini_method):
-        data, schema = self._separable_table()
-        config = SplitConfig(min_samples_split=10, min_samples_leaf=3, max_depth=8)
-        result = boat_build(
-            MemoryTable(schema, data),
-            gini_method,
-            config,
-            BoatConfig(
-                sample_size=600,
-                bootstrap_repetitions=8,
-                bootstrap_subsample=400,
-                seed=5,
-                inmemory_threshold=2500,
-            ),
-        )
-        assert result.report.finalize.frontier_prefetch_hits == 0
+        reports = []
+        for n_workers in (1, 4):
+            for backend in ("thread", "process"):
+                boat_config = BoatConfig(
+                    sample_size=600,
+                    bootstrap_repetitions=8,
+                    bootstrap_subsample=400,
+                    seed=5,
+                    inmemory_threshold=2500,
+                    n_workers=n_workers,
+                    parallel_backend=backend,
+                )
+                result = boat_build(
+                    MemoryTable(schema, data), gini_method, config, boat_config
+                )
+                _assert_same_tree(result.tree, reference)
+                reports.append(result.report.finalize)
+        assert reports[0].frontier_completions > 0
+        assert all(report == reports[0] for report in reports[1:])
 
 
 # ---------------------------------------------------------------------------

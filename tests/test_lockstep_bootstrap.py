@@ -12,21 +12,26 @@ edges (``tobytes()``) — and every ``SamplingReport`` field are identical.
 
 from __future__ import annotations
 
+import gc
+import threading
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
+from repro.core import boat as boat_module
+from repro.core import boat_build, sampling_phase
 from repro.core import bootstrap as bootstrap_module
-from repro.core import make_build_pool, sampling_phase
 from repro.core.bootstrap import SamplingResult, _SkeletonBuilder
 from repro.core.coarse import CoarseNumeric
 from repro.datagen import AgrawalConfig, AgrawalGenerator, drifted_function_1
+from repro.parallel import WorkerPool
 from repro.splits import ImpuritySplitSelection, QuestSplitSelection
-from repro.storage import CLASS_COLUMN, bootstrap_resample
-from repro.tree import build_reference_tree
+from repro.storage import CLASS_COLUMN, MemoryTable, bootstrap_resample
+from repro.tree import build_reference_tree, tree_to_json
 
 from .conftest import simple_xy_data
 
@@ -245,13 +250,76 @@ def test_worker_pools_give_the_same_skeleton(method):
             sample_size=1000, bootstrap_repetitions=REPETITIONS,
             n_workers=n_workers, parallel_backend=backend,
         )
-        with make_build_pool(sample, schema, method, split_config, boat_config) as pool:
+        with WorkerPool(boat_config.n_workers, boat_config.parallel_backend) as pool:
             result = sampling_phase(
                 sample, schema, method, split_config, boat_config, 10_000,
                 np.random.default_rng(5), pool=pool,
             )
         signatures.append(skeleton_signature(result))
     assert all(s == signatures[0] for s in signatures[1:])
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_quest_build_keeps_no_sample(monkeypatch, n_workers):
+    """Once a QUEST build returns, nothing (no worker context) keeps its
+    sampling phase's sample alive."""
+    samples = []
+
+    def spy(sample, *args, **kwargs):
+        samples.append(weakref.ref(sample))
+        return sampling_phase(sample, *args, **kwargs)
+
+    monkeypatch.setattr(boat_module, "sampling_phase", spy)
+    data, schema = agrawal(1, n=3000, seed=3)
+    boat_config = BoatConfig(
+        sample_size=600, bootstrap_repetitions=REPETITIONS,
+        n_workers=n_workers, parallel_backend="thread",
+    )
+    boat_build(
+        MemoryTable(schema, data), QuestSplitSelection(),
+        SplitConfig(min_samples_split=30, min_samples_leaf=5), boat_config,
+    )
+    gc.collect()
+    assert len(samples) == 1
+    assert samples[0]() is None
+
+
+def test_concurrent_per_repetition_bootstraps_are_independent():
+    """Two threads growing QUEST bootstrap trees under different split
+    configs each get exactly their isolated run's trees, round after round."""
+    sample, schema = agrawal(1, n=600, seed=4)
+    method = QuestSplitSelection()
+    boat_config = BoatConfig(sample_size=600, bootstrap_repetitions=REPETITIONS)
+    configs = [
+        SplitConfig(min_samples_split=30, min_samples_leaf=5),
+        SplitConfig(min_samples_split=120, min_samples_leaf=40, max_depth=3),
+    ]
+
+    def grow(split_config):
+        trees = bootstrap_module.build_bootstrap_trees(
+            sample, schema, method, split_config, boat_config,
+            np.random.default_rng(0),
+        )
+        return [tree_to_json(tree) for tree in trees]
+
+    isolated = [grow(config) for config in configs]
+    assert isolated[0] != isolated[1]
+    rounds = 8
+    barrier = threading.Barrier(len(configs))
+    results: list[list] = [[] for _ in configs]
+
+    def run(i):
+        for _ in range(rounds):
+            barrier.wait()
+            results[i].append(grow(configs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for i, runs in enumerate(results):
+        assert runs == [isolated[i]] * rounds
 
 
 def _traced_peak(run) -> tuple[int, SamplingResult]:

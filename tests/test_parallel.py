@@ -15,13 +15,6 @@ def boom(x: int) -> int:
     raise ValueError(f"task {x} failed")
 
 
-_INIT_CALLS: list[tuple] = []
-
-
-def record_init(*args) -> None:
-    _INIT_CALLS.append(args)
-
-
 class TestEffectiveWorkers:
     def test_positive_passthrough(self):
         assert effective_workers(3) == 3
@@ -126,20 +119,6 @@ class TestWorkerPool:
                 if i == 4:
                     pool._degrade()
             assert results == [x * x for x in range(30)]
-
-    def test_serial_initializer_runs_once_in_parent(self):
-        _INIT_CALLS.clear()
-        with WorkerPool(1, "serial", initializer=record_init, initargs=(7,)) as pool:
-            pool.map(square, range(3))
-            pool.map(square, range(3))
-        assert _INIT_CALLS == [(7,)]
-
-    def test_thread_initializer_runs_once_in_parent(self):
-        _INIT_CALLS.clear()
-        with WorkerPool(2, "thread", initializer=record_init, initargs=(9,)) as pool:
-            pool.map(square, range(3))
-            pool.map(square, range(3))
-        assert _INIT_CALLS == [(9,)]
 
     def test_repr_mentions_backend(self):
         assert "thread" in repr(WorkerPool(2, "thread"))

@@ -114,8 +114,8 @@ class TestOnePipeline:
 
     def test_trees_identical_at_any_worker_count(self, tmp_path):
         # Parallel cleanup applies per-batch moment deltas in scan order
-        # and the frontier prefetch builds the same completions, so the
-        # float accumulation order never depends on the pool.
+        # and finalization runs on the driving thread, so the float
+        # accumulation order never depends on the pool.
         config = replace(BOAT, batch_rows=1024)
         with _agrawal_disk_table(tmp_path / "q.tbl") as table:
             baseline = tree_to_json(
