@@ -96,7 +96,10 @@ def _build_flat(
         result = resume_build(
             table, method, split_config, boat_config, tracer=tracer
         )
-        print(f"resumed from checkpoint {args.resume}")
+        print(
+            f"resumed from checkpoint {args.resume} "
+            f"({result.report.restored_units} checkpointed unit(s) restored)"
+        )
         return result.tree
     result = boat_build(table, method, split_config, boat_config, tracer=tracer)
     return result.tree
@@ -435,7 +438,7 @@ def register(sub) -> None:
         default=None,
         metavar="DIR",
         help="make the build crash-safe: persist the skeleton and "
-        "cleanup-scan progress under DIR so a killed build can be "
+        "completed cleanup-scan units under DIR so a killed build can be "
         "finished with --resume DIR; sharded builds checkpoint each "
         "completed shard unit and may even be resumed at a different "
         "shard count after `repro reshard` (see docs/RECOVERY.md)",

@@ -132,16 +132,17 @@ class BoatConfig:
             Off by default: the disabled path is a no-op object with no
             measurable cost on the scan path.
         checkpoint_dir: when set, the build becomes crash-safe: the
-            skeleton is persisted after the sampling phase, cleanup-scan
-            progress (scan offset, per-node statistics, durable spill
-            manifest) every ``checkpoint_every_batches`` batches, and a
-            killed build can be resumed with
+            skeleton is persisted after the sampling phase, then every
+            ``checkpoint_every_batches`` cleanup batches one unit — the
+            statistics and held/family rows of the rows just scanned —
+            and a killed build can be resumed with
             :func:`repro.recovery.resume_build` (CLI ``--resume``),
             producing a byte-identical tree.  Like every other knob this
             never changes the output tree.
-        checkpoint_every_batches: cleanup-scan batches between progress
-            checkpoints.  Smaller values shrink the re-read tail after a
-            crash at the cost of more checkpoint writes.
+        checkpoint_every_batches: cleanup-scan batches per checkpoint
+            unit.  Smaller values shrink the re-read tail after a crash
+            at the cost of more checkpoint writes; checkpointing holds
+            at most one unit's rows in memory.
         scan_retries: absorb up to this many transient ``IOError``s per
             scan by re-reading from the last good offset with bounded
             exponential backoff (0 disables retrying; failures then

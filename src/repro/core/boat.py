@@ -19,10 +19,10 @@ so no temporary spill files survive a failed construction, and raw
 :class:`~repro.exceptions.StorageError`.
 
 Crash safety: with ``BoatConfig.checkpoint_dir`` set the build persists
-its skeleton and cleanup-scan progress as it goes (durable spill files
-under the checkpoint directory deliberately *do* survive a failure —
-they are the recovery state) and a killed build can be finished by
-:func:`repro.recovery.resume_build`, producing a byte-identical tree.
+its skeleton, then every ``checkpoint_every_batches`` cleanup batches
+the statistics of the rows just scanned as one checkpoint unit, and a
+killed build can be finished by :func:`repro.recovery.resume_build`,
+producing a byte-identical tree.
 ``BoatConfig.scan_retries`` additionally absorbs transient ``IOError``s
 mid-scan without failing the build at all.  See ``docs/RECOVERY.md``.
 """
@@ -69,6 +69,7 @@ class BoatReport:
         workers: resolved worker count of the execution pool.
         parallel_backend: resolved backend ("serial" when workers == 1).
         trace: the phase-span trace, when tracing was enabled.
+        restored_units: checkpointed cleanup units a resume merged.
     """
 
     mode: str
@@ -80,6 +81,7 @@ class BoatReport:
     workers: int = 1
     parallel_backend: str = "serial"
     trace: TraceReport | None = None
+    restored_units: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -114,6 +116,8 @@ class BuildHarness:
     ``finalize`` phase (:meth:`finalize`), maps a raw :class:`OSError`
     to :class:`~repro.exceptions.StorageError` and releases every held
     skeleton (:meth:`guard`), and attaches the trace (:meth:`done`).
+    ``boat_cross_validate`` and ``IncrementalBoat.build`` use the guard
+    only.
     """
 
     def __init__(
@@ -147,9 +151,13 @@ class BuildHarness:
         return root
 
     @contextmanager
-    def guard(self) -> Iterator[None]:
+    def guard(self, keep: bool = False) -> Iterator[None]:
+        """``keep`` keeps the held skeletons when the block succeeds
+        (a maintained build goes on using its skeleton)."""
+        failed = True
         try:
             yield
+            failed = False
         except ReproError:
             raise
         except OSError as exc:
@@ -159,10 +167,11 @@ class BuildHarness:
                 f"I/O failure during {self._what}: {exc}"
             ) from exc
         finally:
-            # Success or failure, the skeletons' held/family stores (and
-            # any spill files they own) are torn down before we return.
-            for root in self._held:
-                root.release()
+            # The skeletons' held/family stores (and any spill files they
+            # own) are torn down before we return.
+            if failed or not keep:
+                for root in self._held:
+                    root.release()
 
     def finalize(
         self,
@@ -246,7 +255,6 @@ def boat_build(
     )
     tracer = run.tracer
     checkpoint = None
-    durable_dir = None
     if boat_config.checkpoint_dir:
         checkpoint = CheckpointManager(
             boat_config.checkpoint_dir,
@@ -258,7 +266,6 @@ def boat_build(
             len(table),
             build_digest(table.schema, len(table), split_config, boat_config),
         )
-        durable_dir = checkpoint.spill_dir
     scan_table = wrap_retry(table, boat_config, tracer)
 
     with run.guard(), tracer.span("boat_build", table_size=len(table)):
@@ -296,7 +303,6 @@ def boat_build(
                 io,
                 pool=pool,
                 tracer=tracer,
-                durable_dir=durable_dir,
             )
             root = run.hold(result.root)
             run.report.sampling = result.report
@@ -315,17 +321,15 @@ def boat_build(
                 boat_config.batch_rows,
                 pool,
                 tracer=tracer,
-                progress=(
-                    None if checkpoint is None else checkpoint.progress_hook(root)
-                ),
                 kernels=get_kernels(boat_config.kernel_backend),
                 sql_pushdown=boat_config.sql_pushdown,
+                record=None if checkpoint is None else checkpoint.record_batch,
             )
             run.stop("cleanup_scan")
             if checkpoint is not None:
-                # Fully accumulated: a crash during finalization resumes
-                # with zero scan rows to re-read.
-                checkpoint.checkpoint_cleanup(root, len(table))
+                # The last unit: a crash during finalization resumes with
+                # zero scan rows to re-read.
+                checkpoint.close_unit()
 
             tree = run.finalize(
                 lambda: finalize_tree(root, table.schema, method, split_config),

@@ -84,7 +84,6 @@ class _SkeletonBuilder:
         sample_size: int,
         spill_dir: str | None,
         io_stats: IOStats | None,
-        durable_dir: str | None = None,
     ):
         self._schema = schema
         self._method = method
@@ -95,7 +94,6 @@ class _SkeletonBuilder:
         self._sample_size = max(sample_size, 1)
         self._spill_dir = spill_dir
         self._io_stats = io_stats
-        self._durable_dir = durable_dir
         self._next_id = 0
         self.report = SamplingReport(
             sample_size=sample_size,
@@ -129,7 +127,6 @@ class _SkeletonBuilder:
                 self._spill_dir,
                 self._io_stats,
                 estimated,
-                durable_dir=self._durable_dir,
             )
         edges: dict[int, np.ndarray] = {}
         if not self._quest:
@@ -151,7 +148,6 @@ class _SkeletonBuilder:
             self._spill_dir,
             self._io_stats,
             estimated,
-            durable_dir=self._durable_dir,
             moments=self._quest,
         )
         go_left = self._route_mask(sample_family, criterion, nodes)
@@ -527,7 +523,6 @@ def sampling_phase(
     io_stats: IOStats | None = None,
     pool: WorkerPool | None = None,
     tracer: Tracer | NullTracer = NULL_TRACER,
-    durable_dir: str | None = None,
 ) -> SamplingResult:
     """Run the sampling phase: bootstrap trees → skeleton with coarse criteria.
 
@@ -542,9 +537,6 @@ def sampling_phase(
             without it.
         tracer: records the ``bootstrap`` (tree growing) and ``coarse``
             (skeleton intersection) spans.
-        durable_dir: checkpointed builds pass their spill directory here
-            so node stores get deterministic, recoverable file names
-            (see :func:`repro.core.state.durable_store_path`).
     """
     require_boat_method(method)
     if len(sample) == 0:
@@ -558,7 +550,6 @@ def sampling_phase(
         len(sample),
         spill_dir,
         io_stats,
-        durable_dir,
     )
     with tracer.span(
         "bootstrap",

@@ -39,12 +39,13 @@ layer's compiled array kernel — ``tree.compile()`` /
 :class:`repro.serve.CompiledPredictor` — which carries no confidence
 intervals or stores.
 
-Recovery hooks: a resumed build passes ``start_row`` (the checkpointed
-scan offset — rows before it were already accumulated by the crashed
-process) and a checkpointed build passes ``progress`` (called with the
-absolute row offset after each batch is applied, in scan order, from the
-driving thread only — which is what makes checkpoint writes safe at any
-worker count).  Both default to the plain full scan.
+Recovery hooks: a resumed build passes ``start_row`` (the end of the
+checkpointed prefix — rows before it were already counted by the crashed
+process) and a checkpointed build passes ``record`` (called with each
+committed batch's deltas and the absolute row offset after it, in scan
+order, from the driving thread only — which is what makes checkpoint
+writes safe at any worker count).  ``progress`` (the offset only) serves
+the shard chaos hooks.  All default to the plain full scan.
 
 Tracing: :func:`cleanup_scan` and :func:`shared_cleanup_scan` each open
 one ``cleanup`` span (so every caller gets the same attribution);
@@ -63,10 +64,14 @@ from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..parallel import WorkerPool
 from ..storage import Schema, Table, bounded_scan
 from .state import BoatNode, apply_batch_delta
-from .terminals import compile_skeleton
+from .terminals import NodeDelta, compile_skeleton
 
 #: Progress callback: absolute rows scanned so far (start_row included).
 ProgressFn = Callable[[int], None]
+
+#: Record callback: one committed batch's deltas and the absolute row
+#: offset after the batch.
+RecordFn = Callable[[list[NodeDelta], int], None]
 
 #: Applies one routed batch to a skeleton; runs on the driving thread.
 CommitFn = Callable[[], None]
@@ -91,14 +96,27 @@ def sql_source(table: Table):
 
 
 def skeleton_sink(
-    root: BoatNode, schema: Schema, kernels: KernelBackend = DEFAULT_KERNELS
+    root: BoatNode,
+    schema: Schema,
+    kernels: KernelBackend = DEFAULT_KERNELS,
+    record: RecordFn | None = None,
 ) -> SinkFn:
-    """The sink of a single-skeleton scan: route the whole batch."""
+    """The sink of a single-skeleton scan: route the whole batch.
+
+    With ``record``, each commit also hands its deltas to ``record``.
+    """
     plan = compile_skeleton(root, schema)
 
     def sink(batch: np.ndarray, offset: int) -> CommitFn:
         deltas = plan.deltas(batch, kernels)
-        return lambda: apply_batch_delta(deltas)
+        if record is None:
+            return lambda: apply_batch_delta(deltas)
+
+        def commit() -> None:
+            apply_batch_delta(deltas)
+            record(deltas, offset + len(batch))
+
+        return commit
 
     return sink
 
@@ -161,6 +179,7 @@ def cleanup_scan(
     kernels: KernelBackend = DEFAULT_KERNELS,
     stop_row: int | None = None,
     sql_pushdown: bool = False,
+    record: RecordFn | None = None,
 ) -> None:
     """Stream the table down the skeleton, routing on ``pool`` if parallel.
 
@@ -176,7 +195,8 @@ def cleanup_scan(
     exported (see docs/SQL.md).  Any other table falls back to the
     streamed scan — the output is byte-identical either way.  The
     pushdown covers the whole table only: a ``start_row``/``stop_row``
-    sub-range raises :class:`ValueError`.
+    sub-range raises :class:`ValueError`.  It streams no batches, so it
+    calls neither ``progress`` nor ``record``.
     """
     if sql_pushdown and (start_row or stop_row is not None):
         raise ValueError(
@@ -193,11 +213,11 @@ def cleanup_scan(
             from .sql_pushdown import sql_pushdown_scan
 
             span.set(workers=1, sql_pushdown=True)
-            sql_pushdown_scan(root, source, schema, batch_rows, progress=progress)
+            sql_pushdown_scan(root, source, schema, batch_rows)
             return
         workers, _ = _drive(
             table,
-            [skeleton_sink(root, schema, kernels)],
+            [skeleton_sink(root, schema, kernels, record)],
             batch_rows,
             pool,
             tracer,
@@ -241,4 +261,4 @@ def shared_cleanup_scan(
         workers, batches = _drive(table, sinks, batch_rows, pool, tracer)
         span.set(workers=workers)
         for name in labels or [f"member-{i}" for i in range(len(sinks))]:
-            tracer.attach(tracer.worker_span(name, batches=batches), span)
+            tracer.adopt(tracer.worker_span(name, batches=batches), span)

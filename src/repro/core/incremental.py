@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..exceptions import TreeStructureError
+from ..exceptions import RecoveryError, TreeStructureError
 from ..kernels import get_kernels
 from ..observability import NULL_TRACER, NullTracer, Tracer
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, Schema, Table
 from ..tree import DecisionTree
+from .boat import BuildHarness
 from .bootstrap import sampling_phase
 from .cleanup import cleanup_scan
 from .finalize import FinalizeReport, Finalizer, config_at_depth
@@ -115,7 +116,20 @@ class IncrementalBoat:
         spill_dir: str | None = None,
         tracer: Tracer | NullTracer | None = None,
     ) -> "IncrementalBoat":
-        """Initial construction from a training table (two scans)."""
+        """Initial construction from a training table (two scans).
+
+        Like ``boat_build``, a raw :class:`OSError` surfaces as a
+        :class:`~repro.exceptions.StorageError` with every store the
+        skeleton created released.  ``checkpoint_dir`` is refused with a
+        :class:`~repro.exceptions.RecoveryError` before any scan: a
+        maintained tree cannot be checkpointed or resumed.
+        """
+        boat_config = boat_config or BoatConfig()
+        if boat_config.checkpoint_dir:
+            raise RecoveryError(
+                "IncrementalBoat cannot checkpoint or resume: drop "
+                "BoatConfig.checkpoint_dir"
+            )
         maintainer = cls(
             table.schema,
             method,
@@ -154,7 +168,12 @@ class IncrementalBoat:
         from ..storage import sample_table  # local import to avoid cycle noise
 
         start = time.perf_counter()
-        with self.tracer.span("incremental_build", table_size=len(table)):
+        run = BuildHarness(
+            None, self._io, self.tracer, self._config, "incremental build"
+        )
+        with run.guard(keep=True), self.tracer.span(
+            "incremental_build", table_size=len(table)
+        ):
             with self.tracer.span(
                 "sample", requested_rows=self._config.sample_size
             ) as sample_span:
@@ -163,7 +182,7 @@ class IncrementalBoat:
                 )
                 sample_span.set(sample_rows=len(sample))
             if len(sample) >= len(table):
-                self._skeleton = self._frontier_node(depth=0)
+                self._skeleton = run.hold(self._frontier_node(depth=0))
             else:
                 result = sampling_phase(
                     sample,
@@ -177,7 +196,7 @@ class IncrementalBoat:
                     self._io,
                     tracer=self.tracer,
                 )
-                self._skeleton = result.root
+                self._skeleton = run.hold(result.root)
             cleanup_scan(
                 self._skeleton,
                 table,

@@ -32,8 +32,6 @@ where the data lives (see docs/SQL.md for the honesty argument).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..kernels.sql import SqlAggregations
@@ -41,9 +39,6 @@ from ..storage.schema import Schema
 from .coarse import CoarseCategorical, CoarseNumeric
 from .state import BoatNode
 from .terminals import SkeletonPlan, compile_skeleton
-
-#: Progress callback: absolute rows exported so far (matches cleanup_scan).
-ProgressFn = Callable[[int], None]
 
 
 def routing_expression(
@@ -88,7 +83,6 @@ def sql_pushdown_scan(
     table,
     schema: Schema,
     batch_rows: int,
-    progress: ProgressFn | None = None,
 ) -> None:
     """Run the cleanup scan in-database over a ``SqlTable``.
 
@@ -156,7 +150,7 @@ def sql_pushdown_scan(
                 terminals[node.node_id],
             )
 
-    _export_held_rows(plan, table, batch_rows, route_sql, route_params, progress)
+    _export_held_rows(plan, table, batch_rows, route_sql, route_params)
 
 
 def _export_held_rows(
@@ -165,7 +159,6 @@ def _export_held_rows(
     batch_rows: int,
     route_sql: str,
     route_params: list,
-    progress: ProgressFn | None,
 ) -> None:
     """The one row-export pass: held/family tuples, in global scan order."""
     stores = {
@@ -178,7 +171,6 @@ def _export_held_rows(
         route_params,
     )
     io = table.io_stats
-    rows_done = 0
     try:
         while True:
             rows = cursor.fetchmany(batch_rows)
@@ -191,9 +183,6 @@ def _export_held_rows(
             for terminal in np.unique(routed):
                 slice_ = batch[routed == terminal]
                 stores[int(terminal)].append(slice_)
-            rows_done += len(batch)
-            if progress is not None:
-                progress(rows_done)
     finally:
         cursor.close()
     if io is not None:

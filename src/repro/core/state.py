@@ -24,7 +24,6 @@ their confidence intervals.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,21 +69,6 @@ def reject_float_moments(method: BoatMethod, where: str) -> None:
         )
 
 
-def durable_store_path(
-    durable_dir: str | None, node_id: int, kind: str
-) -> str | None:
-    """Deterministic durable spill path for one node's store.
-
-    Checkpointed builds (``durable_dir`` set) name every node store by
-    its skeleton node id, so a resumed process can re-attach exactly the
-    files its predecessor wrote; uncheckpointed builds keep anonymous
-    tempfiles (``None``).
-    """
-    if durable_dir is None:
-        return None
-    return os.path.join(durable_dir, f"node{node_id:06d}-{kind}.spill")
-
-
 class BoatNode:
     """One node of the BOAT skeleton with its accumulated statistics."""
 
@@ -122,7 +106,6 @@ class BoatNode:
         spill_dir: str | None = None,
         io_stats: IOStats | None = None,
         estimated_family: int = 0,
-        durable_dir: str | None = None,
         moments: bool = False,
     ):
         k = schema.n_classes
@@ -170,11 +153,7 @@ class BoatNode:
             self.below_counts = np.zeros(k, dtype=np.int64)
             self.above_counts = np.zeros(k, dtype=np.int64)
             self.held = TupleStore(
-                schema,
-                config.spill_threshold_rows,
-                spill_dir,
-                io_stats,
-                durable_path=durable_store_path(durable_dir, node_id, "held"),
+                schema, config.spill_threshold_rows, spill_dir, io_stats
             )
         else:
             self.below_counts = None
@@ -182,11 +161,7 @@ class BoatNode:
             self.held = None
         if criterion is None:
             self.family_store = TupleStore(
-                schema,
-                config.spill_threshold_rows,
-                spill_dir,
-                io_stats,
-                durable_path=durable_store_path(durable_dir, node_id, "family"),
+                schema, config.spill_threshold_rows, spill_dir, io_stats
             )
         else:
             self.family_store = None

@@ -268,7 +268,7 @@ class Tracer:
         clock: monotonic clock, injectable for deterministic tests.
 
     The span stack belongs to the thread driving the build.  Parallel
-    phases use :meth:`worker_span` + :meth:`attach` instead of nesting.
+    phases use :meth:`worker_span` + :meth:`adopt` instead of nesting.
     """
 
     enabled = True
@@ -298,7 +298,7 @@ class Tracer:
         """A detached span for worker-side accounting (no clock, no stack).
 
         Fill it with :meth:`Span.add_io` / :meth:`Span.bump` / :meth:`Span.merge`
-        as worker results arrive, then :meth:`attach` it under the running
+        as worker results arrive, then :meth:`adopt` it under the running
         phase span in deterministic order.
         """
         span = Span(name, tracer=None)
@@ -306,11 +306,11 @@ class Tracer:
             span.set(**attributes)
         return span
 
-    def attach(self, span: Span, parent: Span | None = None) -> None:
+    def adopt(self, span: Span, parent: Span | None = None) -> None:
         """Adopt a detached (worker) span as a child of ``parent``.
 
         ``parent`` defaults to the innermost open span; with no open span
-        the span becomes a root.  Attaching closes the span.
+        the span becomes a root.  Adopting closes the span.
         """
         if span.status == "open":
             span.status = "ok"
@@ -326,7 +326,7 @@ class Tracer:
         span.status = "event"
         if attributes:
             span.set(**attributes)
-        self.attach(span)
+        self.adopt(span)
 
     def report(self) -> TraceReport:
         """The trace recorded so far (open spans keep accumulating)."""
@@ -398,7 +398,7 @@ class NullTracer:
     def worker_span(self, name: str, **attributes: Any) -> _NullSpan:
         return self._span
 
-    def attach(self, span: object, parent: object | None = None) -> None:
+    def adopt(self, span: object, parent: object | None = None) -> None:
         pass
 
     def event(self, name: str, **attributes: Any) -> None:

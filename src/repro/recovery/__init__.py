@@ -10,11 +10,12 @@ most expensive.  This package makes the two-scan build fault-tolerant:
   (:class:`RetryPolicy`), surfacing retry counts as tracer attributes.
 * :class:`CheckpointManager` persists the build's recoverable state to a
   checkpoint directory: the skeleton with its coarse criteria after the
-  sampling phase, then — every N cleanup batches — the scan offset, every
-  node's statistics, and a durable spill-file manifest.
+  sampling phase, then completed cleanup *units* — the mergeable
+  statistics of one row interval, every N batches of a flat scan or one
+  per shard unit of a sharded build.
 * :func:`resume_build` restarts a killed build from its checkpoint,
-  re-reading only the tail of the cleanup scan past the last checkpoint,
-  and produces a tree byte-identical to an uninterrupted build.
+  re-reading only the tail of the cleanup scan past the last unit, and
+  produces a tree byte-identical to an uninterrupted build.
 
 See ``docs/RECOVERY.md`` for the checkpoint format and resume semantics.
 """
@@ -26,9 +27,7 @@ from .checkpoint import (
     load_checkpoint,
     load_resumable,
     load_unit_results,
-    restore_cleanup_state,
     restore_skeleton,
-    serialize_cleanup_state,
     serialize_skeleton,
 )
 from .resume import resume_build
@@ -43,10 +42,8 @@ __all__ = [
     "load_checkpoint",
     "load_resumable",
     "load_unit_results",
-    "restore_cleanup_state",
     "restore_skeleton",
     "resume_build",
-    "serialize_cleanup_state",
     "serialize_skeleton",
     "wrap_retry",
 ]

@@ -10,28 +10,26 @@ build its predecessor started:
   edges and family estimates, written once when the sampling phase ends.
   From that moment the skeleton is immutable, which is what makes the
   cleanup scan checkpointable at all: a checkpoint only has to capture
-  *accumulated state*, never in-flight structure.
-* ``cleanup_state.json`` — the cleanup scan's progress: the scan offset
-  (rows fully accumulated), every node's statistics arrays, and a
-  manifest of durable spill files (row counts for each node's held /
-  family store).  Rewritten atomically every N batches.
-* ``spills/`` — one durable spill file per non-empty node store, named
-  ``node{id:06d}-{held|family}.spill``.  Stores append to these files as
-  the scan runs; :meth:`~repro.storage.TupleStore.checkpoint` fsyncs them
-  and reports the row count the manifest records.  On restore the files
-  are truncated back to their manifest counts, discarding torn or
-  post-checkpoint appends.
+  *accumulated statistics*, never in-flight structure.
+* ``units/`` — one pickled :class:`ShardScanResult` per completed
+  cleanup *unit*: the statistics of one global row interval
+  ``[lo, hi)``.  The cleanup scan only adds things up — counts add, held
+  and family rows concatenate in scan order — so a unit merges into a
+  zero-statistics skeleton exactly as its rows would have been scanned.
+  A flat build folds every ``checkpoint_every_batches`` batches into one
+  unit; a sharded build checkpoints each shard unit as it lands.
+* ``units.json`` — the index of completed units, rewritten after each
+  unit file is fsynced.
 
 All JSON files are written atomically (tmp file, fsync, ``os.replace``)
-and spill files are fsynced *before* the manifest that references them,
-so the directory is consistent after a kill at any instant: the worst
-case loses the work since the previous checkpoint, never the checkpoint
-itself.
+and unit files are fsynced *before* the index that references them, so
+the directory is consistent after a kill at any instant: the worst case
+loses the work since the previous unit, never the checkpoint itself.
 
 Numbers round-trip exactly: split points, interval bounds and bucket
 edges are Python floats whose ``repr`` (what :mod:`json` emits) parses
-back to the identical IEEE-754 value — resumed builds are byte-identical,
-not approximately equal.
+back to the identical IEEE-754 value, and unit payloads are pickled
+arrays — resumed builds are byte-identical, not approximately equal.
 """
 
 from __future__ import annotations
@@ -41,27 +39,25 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
 from ..core.coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
-from ..core.state import BoatNode, durable_store_path
-from ..exceptions import RecoveryError
+from ..core.state import BoatNode, apply_batch_delta
+from ..core.terminals import NodeDelta
+from ..exceptions import RecoveryError, ShardError
 from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..storage import IOStats, Schema, ShardedTable, Table, TupleStore
+from ..storage import IOStats, Schema, ShardedTable, Table
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 META_FILE = "meta.json"
 SKELETON_FILE = "skeleton.json"
-STATE_FILE = "cleanup_state.json"
-SPILL_DIR = "spills"
-#: Sharded-build checkpoint state (see :mod:`repro.shard.elastic`):
-#: ``shard_state.json`` lists the completed cleanup units (global row
-#: intervals), ``units/`` holds one pickled
-#: :class:`~repro.shard.stats.ShardScanResult` per completed unit.
-SHARD_STATE_FILE = "shard_state.json"
+#: The completed-unit index: global row intervals ``[lo, hi)``.
+UNITS_FILE = "units.json"
+#: One pickled :class:`ShardScanResult` per completed unit.
 UNITS_DIR = "units"
 
 #: Build phases recorded in ``meta.json``, in order.
@@ -197,17 +193,14 @@ def restore_skeleton(
     schema: Schema,
     config: BoatConfig,
     io_stats: IOStats | None,
-    durable_dir: str | None,
     spill_dir: str | None = None,
 ) -> BoatNode:
     """Rebuild a zero-statistics skeleton tree from its serialized form.
 
-    Every node store is created with its deterministic durable path under
-    ``durable_dir`` (but no file yet — :func:`restore_cleanup_state`
-    attaches the checkpointed files afterwards).  Shard workers restore
-    *replica* skeletons with ``durable_dir=None`` and a coordinator-owned
-    ``spill_dir``, so any replica spill files live where the coordinator
-    can sweep them.
+    Node stores spill into ``spill_dir`` (temporary files).  A resume
+    merges its checkpointed units into the result; shard workers restore
+    *replica* skeletons with a coordinator-owned ``spill_dir``, so any
+    replica spill files live where the coordinator can sweep them.
     """
 
     def build(node_data: dict) -> BoatNode:
@@ -225,7 +218,6 @@ def restore_skeleton(
                 spill_dir=spill_dir,
                 io_stats=io_stats,
                 estimated_family=node_data["estimated_family"],
-                durable_dir=durable_dir,
             )
         except KeyError as exc:
             raise RecoveryError(f"checkpoint skeleton is missing field {exc}")
@@ -240,95 +232,139 @@ def restore_skeleton(
 
 
 # ---------------------------------------------------------------------------
-# Cleanup-scan state (de)serialization
+# Cleanup units: the mergeable statistics of one scanned row interval
 # ---------------------------------------------------------------------------
 
 
-def serialize_cleanup_state(root: BoatNode, rows_scanned: int) -> dict:
-    """Snapshot the scan's accumulated state; flushes durable stores.
+@dataclass
+class NodeShardStats:
+    """One unit's accumulated statistics for one skeleton node."""
 
-    Calling this checkpoints every node store
-    (:meth:`~repro.storage.TupleStore.checkpoint`: spill + fsync), so the
-    row counts recorded in the returned manifest are on disk before the
-    caller persists the manifest itself.
+    node_id: int
+    class_counts: np.ndarray
+    cat_counts: dict[int, np.ndarray]
+    bucket_counts: dict[int, np.ndarray]
+    below_counts: np.ndarray | None = None
+    above_counts: np.ndarray | None = None
+    held_rows: np.ndarray | None = None
+    family_rows: np.ndarray | None = None
+    #: Distinct in-interval values of the criterion attribute a shard
+    #: saw (numeric coarse criteria only) — the shard's split-candidate
+    #: set; ``None`` in a flat build's units.
+    candidate_values: np.ndarray | None = None
+
+
+@dataclass
+class ShardScanResult:
+    """The statistics of one cleanup unit: a shard's local scan of its
+    row range, or ``checkpoint_every_batches`` batches of a flat scan
+    (``shard_id`` 0, no I/O of its own)."""
+
+    shard_id: int
+    rows_scanned: int
+    nodes: list[NodeShardStats]
+    io: IOStats
+
+
+def _concat(parts: list[np.ndarray | None]) -> np.ndarray | None:
+    parts = [p for p in parts if p is not None and len(p)]
+    if not parts:
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def fold_deltas(batches: list[list[NodeDelta]]) -> list[NodeShardStats]:
+    """Fold consecutive batches' deltas into one unit's per-node statistics.
+
+    Counts add; held and family rows concatenate in scan order, so
+    merging the unit (:func:`merge_shard_stats`) leaves a skeleton
+    exactly as applying the batches one by one would.
     """
-    nodes: dict[str, dict] = {}
-    for node in root.nodes():
-        entry: dict = {
-            "class_counts": node.class_counts.tolist(),
-            "cat_counts": {
-                str(i): m.tolist() for i, m in node.cat_counts.items()
+    by_node: dict[int, list[NodeDelta]] = {}
+    for deltas in batches:
+        for delta in deltas:
+            by_node.setdefault(delta.node.node_id, []).append(delta)
+    out: list[NodeShardStats] = []
+    for node_id, parts in by_node.items():
+        first = parts[0]
+        stats = NodeShardStats(
+            node_id=node_id,
+            class_counts=sum(d.class_counts for d in parts),
+            cat_counts={
+                i: sum(d.cat_counts[i] for d in parts) for i in first.cat_counts
             },
-            "bucket_counts": {
-                str(i): m.tolist() for i, m in node.bucket_counts.items()
+            bucket_counts={
+                i: sum(d.bucket_counts[i] for d in parts) for i in first.bucket_counts
             },
-        }
-        if node.below_counts is not None:
-            entry["below_counts"] = node.below_counts.tolist()
-            entry["above_counts"] = node.above_counts.tolist()
-        if node.held is not None:
-            entry["held_rows"] = node.held.checkpoint()
-        if node.family_store is not None:
-            entry["family_rows"] = node.family_store.checkpoint()
-        nodes[str(node.node_id)] = entry
-    return {
-        "format_version": FORMAT_VERSION,
-        "rows_scanned": rows_scanned,
-        "nodes": nodes,
-    }
+            held_rows=_concat([d.held_rows for d in parts]),
+            family_rows=_concat([d.family_rows for d in parts]),
+        )
+        if first.below_counts is not None:
+            stats.below_counts = sum(d.below_counts for d in parts)
+            stats.above_counts = sum(d.above_counts for d in parts)
+        out.append(stats)
+    return out
 
 
-def restore_cleanup_state(
-    root: BoatNode,
-    state: dict,
-    schema: Schema,
-    config: BoatConfig,
-    io_stats: IOStats | None,
-    durable_dir: str,
-) -> int:
-    """Load checkpointed statistics into a restored skeleton.
+def merge_shard_stats(
+    root: BoatNode, shard_results: Iterable[ShardScanResult]
+) -> dict[int, np.ndarray]:
+    """Fold unit statistics into a skeleton, in the order given.
 
-    Re-attaches every durable spill file named in the manifest (truncated
-    to its recorded row count).  Returns the checkpointed scan offset —
-    the row the resumed cleanup scan starts from.
+    Additive arrays sum; held/family rows append in the order given
+    (global row order makes the skeleton bit-identical to a locally
+    scanned one).  Returns the merged per-node candidate sets
+    (``node_id`` → sorted distinct in-interval values) for the build
+    report.  ``shard_results`` may be a generator that loads units
+    lazily: each result is dropped before the next is drawn, so a
+    resume holds one restored unit at a time.
+
+    Reuses :func:`repro.core.state.apply_batch_delta` — a unit's payload
+    is exactly one big :class:`~repro.core.terminals.NodeDelta` per node,
+    so the merge and the scan share one mutation path.
     """
-    nodes = state.get("nodes", {})
-    for node in root.nodes():
-        entry = nodes.get(str(node.node_id))
-        if entry is None:
-            raise RecoveryError(
-                f"checkpoint cleanup state has no entry for skeleton node "
-                f"{node.node_id}"
+    by_id = {node.node_id: node for node in root.nodes()}
+    candidates: dict[int, np.ndarray] = {}
+    for result in shard_results:
+        apply_batch_delta(_unit_deltas(by_id, result, candidates))
+        del result
+    return candidates
+
+
+def _unit_deltas(
+    by_id: dict[int, BoatNode],
+    result: ShardScanResult,
+    candidates: dict[int, np.ndarray],
+) -> list[NodeDelta]:
+    """One unit's payload as per-node deltas; unions its candidate sets."""
+    deltas: list[NodeDelta] = []
+    for stats in result.nodes:
+        node = by_id.get(stats.node_id)
+        if node is None:
+            raise ShardError(
+                f"shard {result.shard_id} reported statistics for unknown "
+                f"skeleton node {stats.node_id}"
             )
-        node.class_counts = np.asarray(entry["class_counts"], dtype=np.int64)
-        node.cat_counts = {
-            int(i): np.asarray(m, dtype=np.int64)
-            for i, m in entry["cat_counts"].items()
-        }
-        node.bucket_counts = {
-            int(i): np.asarray(m, dtype=np.int64)
-            for i, m in entry["bucket_counts"].items()
-        }
-        if node.below_counts is not None:
-            node.below_counts = np.asarray(entry["below_counts"], dtype=np.int64)
-            node.above_counts = np.asarray(entry["above_counts"], dtype=np.int64)
-        if node.held is not None:
-            node.held = TupleStore.restore(
-                schema,
-                durable_store_path(durable_dir, node.node_id, "held"),
-                entry["held_rows"],
-                config.spill_threshold_rows,
-                io_stats,
+        deltas.append(
+            NodeDelta(
+                node=node,
+                class_counts=stats.class_counts,
+                cat_counts=stats.cat_counts,
+                bucket_counts=stats.bucket_counts,
+                below_counts=stats.below_counts,
+                above_counts=stats.above_counts,
+                held_rows=stats.held_rows,
+                family_rows=stats.family_rows,
             )
-        if node.family_store is not None:
-            node.family_store = TupleStore.restore(
-                schema,
-                durable_store_path(durable_dir, node.node_id, "family"),
-                entry["family_rows"],
-                config.spill_threshold_rows,
-                io_stats,
+        )
+        if stats.candidate_values is not None:
+            seen = candidates.get(stats.node_id)
+            candidates[stats.node_id] = (
+                stats.candidate_values
+                if seen is None
+                else np.union1d(seen, stats.candidate_values)
             )
-    return int(state["rows_scanned"])
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +374,10 @@ def restore_cleanup_state(
 
 @dataclass
 class CheckpointState:
-    """A loaded checkpoint: metadata, skeleton, and optional scan progress."""
+    """A loaded checkpoint: its metadata and (once saved) its skeleton."""
 
     meta: dict
     skeleton: dict | None
-    cleanup: dict | None
 
     @property
     def phase(self) -> str:
@@ -359,38 +394,64 @@ def unit_file_name(lo: int, hi: int) -> str:
     return f"unit-{lo:012d}-{hi:012d}.pkl"
 
 
-def load_unit_results(directory: str) -> list[tuple[int, int, object]]:
-    """Load a sharded checkpoint's completed cleanup units, sorted by ``lo``.
+def _read_unit(path: str, lo: int, hi: int) -> ShardScanResult:
+    try:
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+    except (OSError, pickle.PickleError, EOFError) as exc:
+        raise RecoveryError(
+            f"checkpoint unit [{lo}, {hi}) is unreadable ({path}): "
+            f"{type(exc).__name__}: {exc}"
+        )
 
-    Returns ``(lo, hi, ShardScanResult)`` triples.  ``shard_state.json``
-    is only ever written *after* the unit files it references are
-    fsynced, so a referenced file that is missing or unreadable means the
-    checkpoint directory was corrupted out-of-band — refused rather than
-    silently dropped, since dropping a unit would silently re-scan
-    already-counted rows.
+
+def load_unit_results(
+    directory: str, table_rows: int, contiguous: bool = False
+) -> list[tuple[int, int, Callable[[], ShardScanResult]]]:
+    """A checkpoint's completed cleanup units, sorted by ``lo``.
+
+    Returns ``(lo, hi, load)`` triples; ``load()`` unpickles the unit's
+    :class:`ShardScanResult`, so a resume reads and merges one unit at a
+    time.  The one integrity check of both resumes runs on the index
+    before any unit is read: units must be non-empty, must not overlap
+    and must lie inside the ``table_rows``-row table; with
+    ``contiguous`` (a flat build records units in scan order) they must
+    also tile a prefix ``[0, hi)`` of it.  ``units.json`` is only ever
+    written *after* the unit files it references are fsynced, so a bad
+    index or a missing file means the directory was corrupted
+    out-of-band — refused, since dropping a unit would silently re-scan
+    or skip rows.
     """
-    state_path = os.path.join(directory, SHARD_STATE_FILE)
-    if not os.path.exists(state_path):
+    index_path = os.path.join(directory, UNITS_FILE)
+    if not os.path.exists(index_path):
         return []
-    state = _read_json(state_path, "shard state")
-    units: list[tuple[int, int, object]] = []
-    for lo, hi in state.get("units", []):
+    index = sorted(
+        (int(lo), int(hi))
+        for lo, hi in _read_json(index_path, "unit index").get("units", [])
+    )
+    units: list[tuple[int, int, Callable[[], ShardScanResult]]] = []
+    cursor = 0
+    for lo, hi in index:
+        if hi <= lo or hi > table_rows:
+            problem = f"is empty or exceeds the {table_rows}-row table"
+        elif lo < cursor:
+            problem = "overlaps the unit before it"
+        elif contiguous and lo > cursor:
+            problem = f"leaves rows [{cursor}, {lo}) uncovered"
+        else:
+            problem = None
+        if problem is not None:
+            raise RecoveryError(f"checkpoint unit [{lo}, {hi}) {problem}")
         path = os.path.join(directory, UNITS_DIR, unit_file_name(lo, hi))
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError) as exc:
-            raise RecoveryError(
-                f"checkpoint unit [{lo}, {hi}) is unreadable ({path}): "
-                f"{type(exc).__name__}: {exc}"
-            )
-        units.append((int(lo), int(hi), result))
-    units.sort(key=lambda triple: triple[0])
+        if not os.path.exists(path):
+            raise RecoveryError(f"checkpoint unit [{lo}, {hi}) is missing ({path})")
+        units.append((lo, hi, partial(_read_unit, path, lo, hi)))
+        cursor = hi
     return units
 
 
 def load_checkpoint(directory: str) -> CheckpointState:
-    """Read a checkpoint directory, validating version and consistency."""
+    """Read a checkpoint directory, validating its format version."""
     meta = _read_json(os.path.join(directory, META_FILE), "metadata")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
@@ -399,14 +460,10 @@ def load_checkpoint(directory: str) -> CheckpointState:
             f"(expected {FORMAT_VERSION})"
         )
     skeleton = None
-    cleanup = None
     skeleton_path = os.path.join(directory, SKELETON_FILE)
     if os.path.exists(skeleton_path):
         skeleton = _read_json(skeleton_path, "skeleton")
-    state_path = os.path.join(directory, STATE_FILE)
-    if os.path.exists(state_path):
-        cleanup = _read_json(state_path, "cleanup state")
-    return CheckpointState(meta=meta, skeleton=skeleton, cleanup=cleanup)
+    return CheckpointState(meta=meta, skeleton=skeleton)
 
 
 def load_resumable(
@@ -468,13 +525,15 @@ def load_resumable(
 class CheckpointManager:
     """Owns one checkpoint directory for the lifetime of one build.
 
-    The driver calls, in order: :meth:`begin` (before the sampling phase),
-    :meth:`save_skeleton` (once the skeleton is fixed),
-    :meth:`progress_hook` (wired into the cleanup scan; fires
-    :meth:`checkpoint_cleanup` every ``every_batches`` batches), and
-    :meth:`finish` on success — which sweeps the spill files and marks the
-    checkpoint complete.  A build that dies anywhere in between leaves a
-    directory :func:`resume_build` can pick up.
+    The driver calls, in order: :meth:`begin` (or :meth:`begin_sharded`)
+    before the sampling phase, :meth:`save_skeleton` once the skeleton
+    is fixed, then records completed cleanup units — a flat scan hands
+    every committed batch to :meth:`record_batch` and calls
+    :meth:`close_unit` at scan end, the sharded dispatcher calls
+    :meth:`checkpoint_unit` per unit — and :meth:`finish` on success,
+    which sweeps the units and marks the checkpoint complete.  A build
+    that dies anywhere in between leaves a directory
+    :func:`resume_build` can pick up.
     """
 
     def __init__(
@@ -488,15 +547,12 @@ class CheckpointManager:
         self.directory = os.fspath(directory)
         self.every_batches = every_batches
         self._tracer = tracer
-        self._batches_since = 0
-        #: Checkpoints written during this build (diagnostics/tests).
-        self.checkpoints_written = 0
-        #: Completed cleanup units recorded so far (sharded builds).
+        #: Completed cleanup units recorded so far, sorted.
         self._units: list[tuple[int, int]] = []
-
-    @property
-    def spill_dir(self) -> str:
-        return os.path.join(self.directory, SPILL_DIR)
+        #: A flat scan's committed batches not yet in a unit, and the
+        #: row offset after the last of them.
+        self._pending: list[list[NodeDelta]] = []
+        self._pending_end = 0
 
     @property
     def units_dir(self) -> str:
@@ -512,8 +568,8 @@ class CheckpointManager:
 
     def begin(self, schema: Schema, table_rows: int, config_digest: str) -> dict:
         """Initialize (or reset) the directory for a fresh build."""
-        os.makedirs(self.spill_dir, exist_ok=True)
-        self._sweep_stale()
+        os.makedirs(self.units_dir, exist_ok=True)
+        self._sweep()
         meta = {
             "format_version": FORMAT_VERSION,
             "phase": PHASE_SAMPLING,
@@ -524,15 +580,13 @@ class CheckpointManager:
         _atomic_write_json(self._meta_path(), meta)
         return meta
 
-    def _sweep_stale(self) -> None:
-        for name in (SKELETON_FILE, STATE_FILE, SHARD_STATE_FILE):
+    def _sweep(self) -> None:
+        """Remove the skeleton, the unit index and every unit file."""
+        for name in (SKELETON_FILE, UNITS_FILE):
             try:
                 os.remove(os.path.join(self.directory, name))
             except FileNotFoundError:
                 pass
-        for name in os.listdir(self.spill_dir):
-            if name.endswith(".spill"):
-                os.remove(os.path.join(self.spill_dir, name))
         if os.path.isdir(self.units_dir):
             for name in os.listdir(self.units_dir):
                 if name.endswith(".pkl") or name.endswith(".tmp"):
@@ -555,7 +609,6 @@ class CheckpointManager:
         completed cleanup units are keyed by global row interval — which
         survives any range re-partitioning — rather than by shard id.
         """
-        os.makedirs(self.units_dir, exist_ok=True)
         meta = self.begin(schema, table_rows, config_digest)
         meta["sharded"] = {
             "placement": placement,
@@ -565,15 +618,14 @@ class CheckpointManager:
         _atomic_write_json(self._meta_path(), meta)
         return meta
 
-    def checkpoint_unit(self, lo: int, hi: int, result: object) -> None:
+    def checkpoint_unit(self, lo: int, hi: int, result: ShardScanResult) -> None:
         """Persist one completed cleanup unit (global rows ``[lo, hi)``).
 
-        The pickled result is fsynced before ``shard_state.json`` is
-        atomically rewritten to reference it, so a kill at any instant
-        leaves a state file whose every referenced unit is durable.
-        Called from the elastic dispatcher's driving thread only.
+        The pickled result is fsynced before ``units.json`` is atomically
+        rewritten to reference it, so a kill at any instant leaves an
+        index whose every referenced unit is durable.  Called from the
+        scan's (or the elastic dispatcher's) driving thread only.
         """
-        os.makedirs(self.units_dir, exist_ok=True)
         path = os.path.join(self.units_dir, unit_file_name(lo, hi))
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -584,13 +636,12 @@ class CheckpointManager:
         self._units.append((int(lo), int(hi)))
         self._units.sort()
         _atomic_write_json(
-            os.path.join(self.directory, SHARD_STATE_FILE),
+            os.path.join(self.directory, UNITS_FILE),
             {
                 "format_version": FORMAT_VERSION,
                 "units": [list(unit) for unit in self._units],
             },
         )
-        self.checkpoints_written += 1
         span = self._tracer.current()
         if span is not None:
             span.bump("checkpoints")
@@ -600,6 +651,33 @@ class CheckpointManager:
         """Seed the in-memory unit list from a loaded checkpoint (resume)."""
         self._units = sorted((int(lo), int(hi)) for lo, hi in units)
 
+    def record_batch(self, deltas: list[NodeDelta], end: int) -> None:
+        """Collect one committed batch of a flat cleanup scan.
+
+        ``end`` is the row offset after the batch.  Every
+        ``every_batches`` batches the collected deltas become one unit
+        (:meth:`close_unit`), so recording holds at most one unit's rows.
+        Called on the scan's driving thread, in scan order.
+        """
+        self._pending.append(deltas)
+        self._pending_end = end
+        if len(self._pending) >= self.every_batches:
+            self.close_unit()
+
+    def close_unit(self) -> None:
+        """Checkpoint the batches recorded since the last unit as one unit.
+
+        A flat unit starts where the covered prefix ends.  Called at scan
+        end too, so a crash during finalization re-reads no rows.
+        """
+        if not self._pending:
+            return
+        lo = self._units[-1][1] if self._units else 0
+        hi = self._pending_end
+        nodes = fold_deltas(self._pending)
+        self._pending = []
+        self.checkpoint_unit(lo, hi, ShardScanResult(0, hi - lo, nodes, IOStats()))
+
     def save_skeleton(self, root: BoatNode) -> None:
         """Persist the (now immutable) skeleton; enter the cleanup phase."""
         _atomic_write_json(
@@ -608,45 +686,8 @@ class CheckpointManager:
         self._set_phase(PHASE_CLEANUP)
         self._tracer.event("checkpoint_skeleton")
 
-    def checkpoint_cleanup(self, root: BoatNode, rows_scanned: int) -> None:
-        """Persist scan progress: spill files first, then the manifest."""
-        self._batches_since = 0
-        state = serialize_cleanup_state(root, rows_scanned)
-        _atomic_write_json(os.path.join(self.directory, STATE_FILE), state)
-        self.checkpoints_written += 1
-        span = self._tracer.current()
-        if span is not None:
-            span.bump("checkpoints")
-        self._tracer.event("checkpoint", rows_scanned=rows_scanned)
-
-    def progress_hook(self, root: BoatNode) -> Callable[[int], None]:
-        """A cleanup-scan ``progress`` callback checkpointing every N batches."""
-
-        def on_progress(rows_scanned: int) -> None:
-            self._batches_since += 1
-            if self._batches_since >= self.every_batches:
-                self.checkpoint_cleanup(root, rows_scanned)
-
-        return on_progress
-
     def finish(self) -> None:
-        """Mark the build complete and remove the recovery state.
-
-        Durable spill files are swept here — stores only *drop* them on
-        ``clear()`` (see :meth:`repro.storage.TupleStore.clear`) precisely
-        so that this sweep is the single point where recovery state dies.
-        """
-        for name in (SKELETON_FILE, STATE_FILE, SHARD_STATE_FILE):
-            try:
-                os.remove(os.path.join(self.directory, name))
-            except FileNotFoundError:
-                pass
-        if os.path.isdir(self.spill_dir):
-            for name in os.listdir(self.spill_dir):
-                if name.endswith(".spill"):
-                    os.remove(os.path.join(self.spill_dir, name))
-        if os.path.isdir(self.units_dir):
-            for name in os.listdir(self.units_dir):
-                if name.endswith(".pkl") or name.endswith(".tmp"):
-                    os.remove(os.path.join(self.units_dir, name))
+        """Mark the build complete and remove the recovery state, leaving
+        ``meta.json`` as a tombstone."""
+        self._sweep()
         self._set_phase(PHASE_COMPLETE)

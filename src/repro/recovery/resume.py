@@ -3,16 +3,16 @@
 :func:`resume_build` is the counterpart of
 :func:`repro.core.boat_build` for a process that died mid-build with
 ``BoatConfig.checkpoint_dir`` set.  It restores the persisted skeleton
-and (if the crash happened during the cleanup scan) the checkpointed
-per-node statistics and durable spill files, re-runs the cleanup scan
-from the checkpointed offset, and finalizes.  Because the skeleton is
-immutable once saved and store row order equals table scan order, the
-resumed build's tree is *byte-identical* to what the uninterrupted build
-would have produced — at any worker count and even with a different
-batch size than the crashed process used.
+with zero statistics, merges the checkpointed cleanup units into it one
+at a time in row order, scans the table from the end of the covered
+prefix (recording units of its own), and finalizes.  Because the
+skeleton is immutable once saved and a unit's held and family rows are
+in scan order, the resumed build's tree is *byte-identical* to what the
+uninterrupted build would have produced — at any worker count and even
+with a different batch size than the crashed process used.
 
-What resume re-reads: only the rows between the last checkpoint and the
-end of the table.  The sample scan is never repeated — the skeleton it
+What resume re-reads: only the rows between the last unit and the end
+of the table.  The sample scan is never repeated — the skeleton it
 produced is already on disk — so total distinct-tuple I/O across the
 crashed and resumed processes stays at the two-scan bound, plus the
 re-read tail bounded by ``checkpoint_every_batches * batch_rows`` rows
@@ -43,7 +43,8 @@ from ..storage import Table
 from .checkpoint import (
     CheckpointManager,
     load_resumable,
-    restore_cleanup_state,
+    load_unit_results,
+    merge_shard_stats,
     restore_skeleton,
 )
 from .retry import wrap_retry
@@ -88,6 +89,9 @@ def resume_build(
         )
     schema = table.schema
     io = table.io_stats
+    restored = load_unit_results(
+        boat_config.checkpoint_dir, len(table), contiguous=True
+    )
     run = BuildHarness(
         BoatReport(mode="boat", table_size=len(table)),
         io,
@@ -99,24 +103,19 @@ def resume_build(
     manager = CheckpointManager(
         boat_config.checkpoint_dir, boat_config.checkpoint_every_batches, tracer
     )
-    # Failure or not, the guard frees memory; durable spill files stay on
+    manager.restore_units([(lo, hi) for lo, hi, _ in restored])
+    # Failure or not, the guard frees the skeleton; the units stay on
     # disk until finish() sweeps them, so a failed resume stays resumable.
     with run.guard(), tracer.span(
         "boat_resume", table_size=len(table), checkpoint=manager.directory
     ) as resume_span:
         # -- restore ----------------------------------------------------------
         run.start()
-        root = run.hold(
-            restore_skeleton(
-                state.skeleton, schema, boat_config, io, manager.spill_dir
-            )
-        )
-        start_row = 0
-        if state.cleanup is not None:
-            start_row = restore_cleanup_state(
-                root, state.cleanup, schema, boat_config, io, manager.spill_dir
-            )
-        resume_span.set(start_row=start_row)
+        root = run.hold(restore_skeleton(state.skeleton, schema, boat_config, io))
+        merge_shard_stats(root, (load() for _, _, load in restored))
+        start_row = restored[-1][1] if restored else 0
+        run.report.restored_units = len(restored)
+        resume_span.set(start_row=start_row, restored_units=len(restored))
         run.stop("restore")
 
         # -- cleanup scan tail -----------------------------------------------
@@ -131,13 +130,13 @@ def resume_build(
                 pool,
                 tracer=tracer,
                 start_row=start_row,
-                progress=manager.progress_hook(root),
                 kernels=get_kernels(boat_config.kernel_backend),
+                record=manager.record_batch,
             )
             run.stop("cleanup_scan")
-            # The scan is fully accumulated: checkpoint it so a crash
-            # during finalization resumes with zero rows to re-read.
-            manager.checkpoint_cleanup(root, len(table))
+            # The last unit: a crash during finalization resumes with
+            # zero rows to re-read.
+            manager.close_unit()
             tree = run.finalize(
                 lambda: finalize_tree(root, schema, method, split_config), pool
             )

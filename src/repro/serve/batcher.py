@@ -182,7 +182,7 @@ class RequestBatcher:
                 timeouts=self._n_timeouts,
                 rejected=self._n_rejected,
             )
-            self.tracer.attach(self._serve_span)
+            self.tracer.adopt(self._serve_span)
             self._serve_span = None
 
     def __enter__(self) -> "RequestBatcher":

@@ -18,8 +18,9 @@ Layout:
   work-unit planner.
 * :mod:`repro.shard.worker` — shard-local request execution (idempotent
   pure functions, usable from any transport substrate).
-* :mod:`repro.shard.stats` — the mergeable statistic types and the
-  OR-combined shard verdicts.
+* :mod:`repro.shard.stats` — per-shard statistic extraction and the
+  OR-combined shard verdicts (the mergeable unit payload lives in
+  :mod:`repro.recovery.checkpoint`, shared with flat checkpoints).
 * :mod:`repro.shard.transport` — in-process and multiprocessing
   executors over :mod:`repro.parallel`.
 * :mod:`repro.shard.rpc` — the stdlib-socket TCP transport and the
@@ -44,14 +45,8 @@ from .elastic import (
     whole_shard_units,
 )
 from .testing import TRANSPORT_FAULT_KINDS, FaultyTransport
-from .stats import (
-    NodeShardStats,
-    ShardScanResult,
-    ShardVerdict,
-    combine_verdicts,
-    extract_shard_stats,
-    merge_shard_stats,
-)
+from ..recovery.checkpoint import NodeShardStats, ShardScanResult, merge_shard_stats
+from .stats import ShardVerdict, combine_verdicts, extract_shard_stats
 from .transport import (
     TRANSPORTS,
     InProcessTransport,

@@ -47,6 +47,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -60,9 +61,11 @@ from ..observability import NullTracer, Tracer
 from ..parallel import WorkerPool
 from ..recovery.checkpoint import (
     CheckpointManager,
+    ShardScanResult,
     build_digest,
     load_resumable,
     load_unit_results,
+    merge_shard_stats,
     restore_skeleton,
     serialize_skeleton,
 )
@@ -77,7 +80,7 @@ from .elastic import (
     units_for_intervals,
     whole_shard_units,
 )
-from .stats import ShardScanResult, ShardVerdict, merge_shard_stats
+from .stats import ShardVerdict
 from .transport import ShardTransport, make_transport
 from .worker import cleanup_request, sample_request
 
@@ -206,7 +209,7 @@ class _ShardSession:
         if self.tracer.enabled:
             span = self.tracer.worker_span("shard_scan", shard=shard_id, rows=rows)
             span.add_io(worker_io)
-            self.tracer.attach(span)
+            self.tracer.adopt(span)
 
     def finish_phase(self) -> None:
         if self.table.io_stats is not None:
@@ -404,15 +407,7 @@ def resume_sharded_build(
             "schema digest mismatch between the checkpoint and the sharded "
             "table; resuming would merge statistics across schemas"
         )
-    restored = load_unit_results(boat_config.checkpoint_dir)
-    cursor = 0
-    for lo, hi, _ in restored:
-        if lo < cursor or hi <= lo or hi > n:
-            raise RecoveryError(
-                f"checkpoint unit [{lo}, {hi}) overlaps another unit or "
-                f"exceeds the {n}-row table"
-            )
-        cursor = hi
+    restored = load_unit_results(boat_config.checkpoint_dir, n)
 
     run = BuildHarness(
         BoatReport(mode="boat-sharded", table_size=n),
@@ -436,7 +431,7 @@ def resume_sharded_build(
         checkpoint=manager.directory,
     ) as resume_span:
         session.report.resumed = True
-        session.report.restored_units = len(restored)
+        session.report.restored_units = run.report.restored_units = len(restored)
         # -- restore --------------------------------------------------------
         run.start()
         root = run.hold(
@@ -445,7 +440,6 @@ def resume_sharded_build(
                 schema,
                 boat_config,
                 table.io_stats,
-                durable_dir=None,
                 spill_dir=session.scratch,
             )
         )
@@ -481,7 +475,7 @@ def _sharded_cleanup(
     root: BoatNode,
     skeleton: dict,
     units: list[WorkUnit],
-    restored: list[tuple[int, int, ShardScanResult]],
+    restored: list[tuple[int, int, Callable[[], ShardScanResult]]],
     boat_config: BoatConfig,
     checkpoint: CheckpointManager | None,
     shard_simulated_mbps: float | None,
@@ -490,14 +484,15 @@ def _sharded_cleanup(
 
     Ships ``skeleton`` to every unit, checkpoints each unit the moment it
     wins (when ``checkpoint`` is set), charges each unit's I/O, then
-    merges the ``restored`` and fresh results into ``root`` in global
-    row order — under range placement exactly the flat scan order, so
-    held and frontier rows concatenate byte-identically.  A fresh build
-    passes whole-shard units and nothing restored; a resume passes the
-    uncovered complement of its checkpoint and the units it restored,
-    adds the unit count to the ``shard_cleanup`` span, and records a
-    logical full scan only if it restored no unit (otherwise the dead
-    coordinator read part of the table).
+    merges the ``restored`` units (``(lo, hi, load)`` triples, read one
+    at a time as they merge) and the fresh results into ``root`` in
+    global row order — under range placement exactly the flat scan
+    order, so held and frontier rows concatenate byte-identically.  A
+    fresh build passes whole-shard units and nothing restored; a resume
+    passes the uncovered complement of its checkpoint and the units it
+    restored, adds the unit count to the ``shard_cleanup`` span, and
+    records a logical full scan only if it restored no unit (otherwise
+    the dead coordinator read part of the table).
     """
     table, tracer, report = session.table, session.tracer, session.report
     manifest = table.manifest
@@ -523,30 +518,39 @@ def _sharded_cleanup(
                 checkpoint.checkpoint_unit(unit.lo, unit.hi, response["result"])
 
         responses = session.dispatch(units, requests, on_result)
-        fresh: list[tuple[int, ShardScanResult]] = []
+        fresh: dict[int, ShardScanResult] = {}
         for unit, response in zip(units, responses):
             scan = response["result"]
             session.charge(unit.shard_id, scan.rows_scanned, scan.io)
-            fresh.append((unit.lo, scan))
+            fresh[unit.lo] = scan
         if not restored:
             session.finish_phase()
-        ordered = sorted(
-            [(lo, scan) for lo, _, scan in restored] + fresh,
-            key=lambda pair: pair[0],
+        loaders = {lo: load for lo, _, load in restored}
+        scanned = sum(hi - lo for lo, hi, _ in restored) + sum(
+            scan.rows_scanned for scan in fresh.values()
         )
-        scans = [scan for _, scan in ordered]
-        scanned = sum(scan.rows_scanned for scan in scans)
         if scanned != n:
             raise ShardError(
                 f"shard units scanned {scanned} rows in total, expected {n}"
             )
-        with tracer.span("merge", shards=len(scans)) as merge_span:
-            candidates = merge_shard_stats(root, scans)
+        order = sorted([*loaders, *fresh])
+        nodes_merged = 0
+
+        def in_row_order():
+            # Restored units are read here, one at a time, as they merge.
+            nonlocal nodes_merged
+            for lo in order:
+                scan = fresh.pop(lo) if lo in fresh else loaders[lo]()
+                nodes_merged += len(scan.nodes)
+                yield scan
+
+        with tracer.span("merge", shards=len(order)) as merge_span:
+            candidates = merge_shard_stats(root, in_row_order())
             report.candidate_counts = {
                 node_id: int(values.size)
                 for node_id, values in candidates.items()
             }
-            merge_span.set(nodes_merged=sum(len(scan.nodes) for scan in scans))
+            merge_span.set(nodes_merged=nodes_merged)
 
 
 def cleanup_request_for_unit(

@@ -374,7 +374,7 @@ class ElasticDispatcher:
                     attempt=self._launched[index],
                     placement=next_placement.name,
                 )
-                self._tracer.attach(span)
+                self._tracer.adopt(span)
             self._launch(executor, index, requests[index], speculative=False)
         elif self._inflight[index] == 0:
             self._exhausted[index] = True
@@ -425,7 +425,7 @@ class ElasticDispatcher:
                     hi=unit.hi,
                     placement=backup.name,
                 )
-                self._tracer.attach(span)
+                self._tracer.adopt(span)
             self._launch(executor, index, requests[index], speculative=True)
 
     # -- driving loop -------------------------------------------------------

@@ -18,35 +18,22 @@ everything a shard produces is mergeable by construction:
   shard fails the build with a single clean error.
 
 Everything here must cross process and socket boundaries, so payloads are
-plain dataclasses of numpy arrays and primitives (picklable).
+plain dataclasses of numpy arrays and primitives (picklable).  The unit
+payload (:class:`NodeShardStats`, :class:`ShardScanResult`) and its
+merge live in :mod:`repro.recovery.checkpoint`, because a flat build's
+checkpoint units use them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.state import BoatNode, apply_batch_delta, NodeDelta
+from ..core.state import BoatNode
 from ..exceptions import ShardError
-from ..storage import IOStats, Schema
-
-
-@dataclass
-class NodeShardStats:
-    """One shard's accumulated statistics for one skeleton node."""
-
-    node_id: int
-    class_counts: np.ndarray
-    cat_counts: dict[int, np.ndarray]
-    bucket_counts: dict[int, np.ndarray]
-    below_counts: np.ndarray | None = None
-    above_counts: np.ndarray | None = None
-    held_rows: np.ndarray | None = None
-    family_rows: np.ndarray | None = None
-    #: Distinct in-interval values of the criterion attribute this shard
-    #: saw (numeric coarse criteria only) — the shard's split-candidate set.
-    candidate_values: np.ndarray | None = None
+from ..recovery.checkpoint import NodeShardStats
+from ..storage import Schema
 
 
 @dataclass
@@ -61,17 +48,6 @@ class ShardVerdict:
     shard_id: int
     ok: bool
     reason: str | None = None
-
-
-@dataclass
-class ShardScanResult:
-    """Everything one shard returns from its local cleanup scan."""
-
-    shard_id: int
-    rows_scanned: int
-    nodes: list[NodeShardStats]
-    io: IOStats
-    verdict: ShardVerdict
 
 
 def extract_shard_stats(root: BoatNode, schema: Schema) -> list[NodeShardStats]:
@@ -99,55 +75,6 @@ def extract_shard_stats(root: BoatNode, schema: Schema) -> list[NodeShardStats]:
             stats.family_rows = node.family_store.read_all()
         out.append(stats)
     return out
-
-
-def merge_shard_stats(
-    root: BoatNode, shard_results: list[ShardScanResult]
-) -> dict[int, np.ndarray]:
-    """Fold per-shard statistics into the master skeleton, in shard order.
-
-    Additive arrays sum; held/family rows append in shard order (under
-    range placement that is global scan order, making the master skeleton
-    bit-identical to a locally scanned one).  Returns the merged
-    per-node candidate sets (``node_id`` → sorted distinct in-interval
-    values) for the build report.
-
-    Reuses :func:`repro.core.state.apply_batch_delta` — a shard's payload
-    is exactly one big :class:`~repro.core.state.NodeDelta` per node, so
-    the merge kernel and the single-process scan share one mutation path.
-    """
-    by_id = {node.node_id: node for node in root.nodes()}
-    candidates: dict[int, np.ndarray] = {}
-    for result in shard_results:
-        deltas: list[NodeDelta] = []
-        for stats in result.nodes:
-            node = by_id.get(stats.node_id)
-            if node is None:
-                raise ShardError(
-                    f"shard {result.shard_id} reported statistics for unknown "
-                    f"skeleton node {stats.node_id}"
-                )
-            deltas.append(
-                NodeDelta(
-                    node=node,
-                    class_counts=stats.class_counts,
-                    cat_counts=stats.cat_counts,
-                    bucket_counts=stats.bucket_counts,
-                    below_counts=stats.below_counts,
-                    above_counts=stats.above_counts,
-                    held_rows=stats.held_rows,
-                    family_rows=stats.family_rows,
-                )
-            )
-            if stats.candidate_values is not None:
-                seen = candidates.get(stats.node_id)
-                candidates[stats.node_id] = (
-                    stats.candidate_values
-                    if seen is None
-                    else np.union1d(seen, stats.candidate_values)
-                )
-        apply_batch_delta(deltas)
-    return candidates
 
 
 def combine_verdicts(verdicts: list[ShardVerdict]) -> None:

@@ -42,7 +42,8 @@ from ..kernels import get_kernels
 from ..parallel import WorkerPool
 from ..storage import DiskTable, IOStats, gather_rows
 from ..storage.sharded import schema_digest
-from .stats import ShardScanResult, ShardVerdict, extract_shard_stats
+from ..recovery.checkpoint import ShardScanResult, restore_skeleton
+from .stats import ShardVerdict, extract_shard_stats
 
 #: Request/response payload keys are plain strings so every transport
 #: (in-process dicts, pickled frames) sees one wire format.
@@ -176,10 +177,6 @@ def _execute_sample(shard_path: str, request: dict, shard_id: int) -> dict:
 def _execute_cleanup(
     shard_path: str, request: dict, shard_id: int, progress=None
 ) -> dict:
-    # Imported here, not at module top: repro.recovery imports repro.core.boat,
-    # whose import must not require the shard subsystem (and vice versa).
-    from ..recovery.checkpoint import restore_skeleton
-
     io = IOStats()
     boat_config: BoatConfig = request["boat_config"]
     spill_dir = request["spill_dir"]
@@ -203,7 +200,6 @@ def _execute_cleanup(
             table.schema,
             boat_config,
             io,
-            durable_dir=None,
             spill_dir=spill_dir,
         )
         try:
@@ -222,17 +218,9 @@ def _execute_cleanup(
             nodes = extract_shard_stats(replica, table.schema)
         finally:
             replica.release()
-    verdict = ShardVerdict(shard_id, ok=True)
-    result = ShardScanResult(
-        shard_id=shard_id,
-        rows_scanned=unit_rows,
-        nodes=nodes,
-        io=io,
-        verdict=verdict,
-    )
     return {
         "status": "ok",
         "shard_id": shard_id,
-        "result": result,
-        "verdict": verdict,
+        "result": ShardScanResult(shard_id, unit_rows, nodes, io),
+        "verdict": ShardVerdict(shard_id, ok=True),
     }

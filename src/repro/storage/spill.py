@@ -7,17 +7,10 @@ truly scalable implementation writes them to temporary files.
 :class:`TupleStore` does both: it buffers in memory up to a limit and
 transparently spills to a :class:`SpillFile` beyond it.
 
-Spill lifecycle: by default a spill file is an *anonymous tempfile* that
-never outlives the process — ``clear``/``delete`` remove it, and garbage
-collection removes it as a last resort.  A store created with a
-``durable_path`` instead spills to that exact path and survives process
-death: :meth:`TupleStore.checkpoint` flushes the in-memory tail to the
-file and fsyncs it, and :meth:`TupleStore.restore` re-attaches the file
-after a crash, truncating any rows written past the last checkpoint.
-Durable files are never removed by ``clear`` or ``__del__`` — after a
-failed (or even finalizing) build they *are* the recovery state.  Only
-:meth:`SpillFile.delete`, :meth:`TupleStore.restore` of an empty
-manifest, and the checkpoint manager's success sweep remove them (see
+Spill lifecycle: a spill file is an *anonymous tempfile* that never
+outlives the process — ``clear``/``delete`` remove it, and garbage
+collection removes it as a last resort.  Spills are never recovery
+state: a checkpointed build persists its cleanup units instead (see
 ``docs/RECOVERY.md``).
 """
 
@@ -69,14 +62,10 @@ def _rebatch(
 
 
 class SpillFile:
-    """A headerless file of fixed-width records for one node.
+    """A headerless anonymous tempfile of fixed-width records for one node.
 
     Unlike :class:`~repro.storage.table.DiskTable` there is no header —
-    the schema is carried in memory (or, for durable spills, in the
-    checkpoint manifest next to the file).  By default the backing file
-    is an anonymous tempfile; pass ``path`` to create it at a fixed,
-    recoverable location instead (see module docstring for the lifecycle
-    difference).
+    the schema is carried in memory.
     """
 
     def __init__(
@@ -84,62 +73,18 @@ class SpillFile:
         schema: Schema,
         directory: str | os.PathLike | None = None,
         io_stats: IOStats | None = None,
-        path: str | os.PathLike | None = None,
     ):
         self._schema = schema
         self._io_stats = io_stats
-        self._durable = path is not None
-        if path is not None:
-            self._path = os.fspath(path)
-            with open(self._path, "wb"):
-                pass  # create empty / truncate any stale content
-        else:
-            fd, self._path = tempfile.mkstemp(
-                suffix=".spill",
-                dir=None if directory is None else os.fspath(directory),
-            )
-            os.close(fd)
+        fd, self._path = tempfile.mkstemp(
+            suffix=".spill",
+            dir=None if directory is None else os.fspath(directory),
+        )
+        os.close(fd)
         self._n_rows = 0
         self._deleted = False
         if io_stats is not None:
             io_stats.record_spill_file()
-
-    @classmethod
-    def attach(
-        cls,
-        schema: Schema,
-        path: str | os.PathLike,
-        n_rows: int,
-        io_stats: IOStats | None = None,
-    ) -> "SpillFile":
-        """Re-attach a durable spill file left behind by a crashed process.
-
-        The file is truncated to exactly ``n_rows`` records: rows (or a
-        torn partial record) appended after the manifest recording
-        ``n_rows`` was written are discarded, which is what makes
-        checkpoint + manifest a consistent recovery point.
-        """
-        spill = cls.__new__(cls)
-        spill._schema = schema
-        spill._io_stats = io_stats
-        spill._durable = True
-        spill._path = os.fspath(path)
-        spill._deleted = False
-        want = n_rows * schema.record_size
-        try:
-            have = os.path.getsize(spill._path)
-        except FileNotFoundError:
-            raise StorageError(f"durable spill file {spill._path} is missing")
-        if have < want:
-            raise StorageError(
-                f"durable spill file {spill._path}: {have} bytes on disk but "
-                f"the manifest promises {want} (checkpoint corrupted?)"
-            )
-        if have > want:
-            with open(spill._path, "rb+") as fh:
-                fh.truncate(want)
-        spill._n_rows = n_rows
-        return spill
 
     @property
     def path(self) -> str:
@@ -148,10 +93,6 @@ class SpillFile:
     @property
     def schema(self) -> Schema:
         return self._schema
-
-    @property
-    def durable(self) -> bool:
-        return self._durable
 
     def __len__(self) -> int:
         return self._n_rows
@@ -172,15 +113,6 @@ class SpillFile:
         self._n_rows += len(batch)
         if self._io_stats is not None:
             self._io_stats.record_write(len(batch), len(raw))
-
-    def sync(self) -> None:
-        """fsync the backing file (checkpoint durability barrier)."""
-        self._check_live()
-        fd = os.open(self._path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     def read_all(self) -> np.ndarray:
         """The full contents as a *writable* structured array.
@@ -251,10 +183,9 @@ class SpillFile:
             except FileNotFoundError:
                 pass
 
-    def __del__(self) -> None:  # best-effort cleanup of *anonymous* files
+    def __del__(self) -> None:  # best-effort cleanup
         try:
-            if not self._durable:
-                self.delete()
+            self.delete()
         except Exception:
             pass
 
@@ -264,9 +195,7 @@ class TupleStore:
 
     The store preserves append order.  ``read_all`` always returns the full
     contents (memory + spilled); ``replace`` substitutes the contents, used
-    by incremental deletion.  With a ``durable_path`` the store becomes
-    checkpointable: :meth:`checkpoint` persists everything accumulated so
-    far, :meth:`restore` re-attaches it after a crash.
+    by incremental deletion.
     """
 
     def __init__(
@@ -275,7 +204,6 @@ class TupleStore:
         memory_budget_rows: int = 1 << 20,
         directory: str | os.PathLike | None = None,
         io_stats: IOStats | None = None,
-        durable_path: str | os.PathLike | None = None,
     ):
         if memory_budget_rows < 0:
             raise ValueError("memory_budget_rows must be >= 0")
@@ -283,42 +211,9 @@ class TupleStore:
         self._budget = memory_budget_rows
         self._directory = directory
         self._io_stats = io_stats
-        self._durable_path = (
-            None if durable_path is None else os.fspath(durable_path)
-        )
         self._chunks: list[np.ndarray] = []
         self._mem_rows = 0
         self._spill: SpillFile | None = None
-
-    @classmethod
-    def restore(
-        cls,
-        schema: Schema,
-        durable_path: str | os.PathLike,
-        n_rows: int,
-        memory_budget_rows: int = 1 << 20,
-        io_stats: IOStats | None = None,
-    ) -> "TupleStore":
-        """Rebuild a store from a durable spill file and its manifest count.
-
-        ``n_rows == 0`` yields a fresh empty store (any stale file at the
-        path is removed); otherwise the file is attached and truncated to
-        exactly ``n_rows`` records.
-        """
-        store = cls(
-            schema,
-            memory_budget_rows,
-            io_stats=io_stats,
-            durable_path=durable_path,
-        )
-        if n_rows == 0:
-            try:
-                os.remove(store._durable_path)
-            except FileNotFoundError:
-                pass
-            return store
-        store._spill = SpillFile.attach(schema, durable_path, n_rows, io_stats)
-        return store
 
     @property
     def schema(self) -> Schema:
@@ -327,10 +222,6 @@ class TupleStore:
     @property
     def spilled(self) -> bool:
         return self._spill is not None
-
-    @property
-    def durable_path(self) -> str | None:
-        return self._durable_path
 
     def __len__(self) -> int:
         spilled = 0 if self._spill is None else len(self._spill)
@@ -350,33 +241,11 @@ class TupleStore:
             self._mem_rows += len(batch)
 
     def _spill_out(self) -> None:
-        self._spill = SpillFile(
-            self._schema,
-            self._directory,
-            self._io_stats,
-            path=self._durable_path,
-        )
+        self._spill = SpillFile(self._schema, self._directory, self._io_stats)
         for chunk in self._chunks:
             self._spill.append(chunk)
         self._chunks.clear()
         self._mem_rows = 0
-
-    def checkpoint(self) -> int:
-        """Persist all contents to the durable spill file; return the row count.
-
-        Forces the in-memory tail to disk and fsyncs, so a manifest entry
-        recording the returned count is recoverable even if the process is
-        killed immediately after.  An empty, never-spilled store stays
-        fileless and reports 0.  Requires a ``durable_path``.
-        """
-        if self._durable_path is None:
-            raise StorageError("checkpoint() requires a TupleStore durable_path")
-        if self._spill is None:
-            if self._mem_rows == 0:
-                return 0
-            self._spill_out()
-        self._spill.sync()
-        return len(self._spill)
 
     def read_all(self) -> np.ndarray:
         parts: list[np.ndarray] = []
@@ -418,12 +287,7 @@ class TupleStore:
         if self._spill is None and len(batch) > self._budget:
             self._chunks.clear()
             self._mem_rows = 0
-            self._spill = SpillFile(
-                self._schema,
-                self._directory,
-                self._io_stats,
-                path=self._durable_path,
-            )
+            self._spill = SpillFile(self._schema, self._directory, self._io_stats)
         if self._spill is not None:
             self._spill.rewrite(batch)
             self._chunks.clear()
@@ -433,18 +297,9 @@ class TupleStore:
             self._mem_rows = len(batch)
 
     def clear(self) -> None:
-        """Drop all contents and release the spill file.
-
-        A *durable* file is dropped from the store but left on disk: until
-        the checkpoint manager's success sweep removes it, the file (with
-        the manifest that counts its rows) is the crash-recovery state —
-        a build that dies even during finalization, after ``release()``
-        cleared some stores, must still be resumable from its last
-        checkpoint.
-        """
+        """Drop all contents and delete the spill file."""
         self._chunks.clear()
         self._mem_rows = 0
         if self._spill is not None:
-            if not self._spill.durable:
-                self._spill.delete()
+            self._spill.delete()
             self._spill = None

@@ -105,7 +105,7 @@ class MaintenanceLoop:
                 runs=self._coalesced_runs,
                 degraded=self._degraded is not None,
             )
-            self.tracer.attach(self._stream_span)
+            self.tracer.adopt(self._stream_span)
             self._stream_span = None
 
     def __enter__(self) -> "MaintenanceLoop":

@@ -111,7 +111,7 @@ class TestBuildSharded:
         assert main(["build", flat_table, shard_out, "--shards", "2",
                      "--checkpoint", str(ckpt), *BUILD_OPTS]) == 0
         assert self._trees_match(flat_out, shard_out)
-        assert not (ckpt / "shard_state.json").exists()
+        assert not (ckpt / "units.json").exists()
 
     def test_invalid_shard_count_errors(self, tmp_path, flat_table):
         assert main(["build", flat_table, str(tmp_path / "o.json"),

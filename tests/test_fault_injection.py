@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build
-from repro.exceptions import ReproError, SchemaError, StorageError
+from repro.core import IncrementalBoat, boat_build
+from repro.exceptions import RecoveryError, ReproError, SchemaError, StorageError
 from repro.observability import Tracer
 from repro.storage import (
     FAULT_KINDS,
@@ -217,3 +217,43 @@ class TestBoatFailsClean:
         )
         assert result.report.mode == "boat"
         assert spill_files(spill_dir) == []
+
+
+class TestIncrementalBuildFailsClean:
+    """``IncrementalBoat.build`` runs inside the same harness guard."""
+
+    def test_cleanup_fault_is_a_storage_error_with_no_spills(
+        self, disk_table, gini_method, default_split_config, tmp_path
+    ):
+        spill_dir = tmp_path / "spills"
+        spill_dir.mkdir()
+        io = disk_table.io_stats
+        faulty = FaultyTable(
+            disk_table, kind="ioerror", fail_on_scan=1, fail_at_row=5500
+        )
+        with pytest.raises(StorageError, match="I/O failure") as excinfo:
+            IncrementalBoat.build(
+                faulty,
+                gini_method,
+                default_split_config,
+                forced_spill_config(batch_rows=500),
+                spill_dir=str(spill_dir),
+            )
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert io.spill_files > 0, "fault must land after spills were created"
+        assert spill_files(spill_dir) == []
+
+    def test_checkpoint_dir_refused_before_any_scan(
+        self, disk_table, gini_method, default_split_config, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        io = disk_table.io_stats
+        with pytest.raises(RecoveryError, match="checkpoint_dir"):
+            IncrementalBoat.build(
+                disk_table,
+                gini_method,
+                default_split_config,
+                forced_spill_config(checkpoint_dir=str(ckpt)),
+            )
+        assert io.tuples_read == 0
+        assert not ckpt.exists()

@@ -220,8 +220,8 @@ class TestWorkerSpanMerge:
         with tracer.span("cleanup"):
             w0 = self._worker(tracer, 2, 1)
             w1 = self._worker(tracer, 3, 1)
-            tracer.attach(w0)
-            tracer.attach(w1)
+            tracer.adopt(w0)
+            tracer.adopt(w1)
         children = tracer.report().find("cleanup").children
         assert [c.status for c in children] == ["ok", "ok"]
         assert sum(c.tuples_read for c in children) == 5

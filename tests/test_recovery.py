@@ -10,6 +10,7 @@ output at all.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import boat_build
+from repro.core import boat_build, cleanup_scan
 from repro.exceptions import RecoveryError, StorageError
 from repro.observability import Tracer
 from repro.recovery import (
@@ -26,8 +27,11 @@ from repro.recovery import (
     RetryPolicy,
     build_digest,
     load_checkpoint,
+    load_unit_results,
+    restore_skeleton,
     resume_build,
 )
+from repro.recovery.checkpoint import merge_shard_stats
 from repro.splits import ImpuritySplitSelection
 from repro.storage import DiskTable, FaultyTable, IOStats, MemoryTable, Table
 from repro.tree import tree_to_json
@@ -51,7 +55,7 @@ def recovery_config(tmp_path, **overrides) -> BoatConfig:
         sample_size=500,
         bootstrap_repetitions=4,
         seed=3,
-        spill_threshold_rows=1,  # exercise durable spill files hard
+        spill_threshold_rows=1,  # every held/family row spills
         batch_rows=256,
         checkpoint_dir=str(tmp_path / "ckpt"),
         checkpoint_every_batches=2,
@@ -84,6 +88,26 @@ def baseline_json(table, gini, split_config) -> str:
         ),
     )
     return tree_to_json(result.tree)
+
+
+#: sha256 of ``baseline_json`` as built before flat checkpoints became
+#: row-interval units: checkpointing must not change the tree.
+BASELINE_SHA256 = "07920bbf057b4d4719dbf7c1d992f7d54bdee64e660fb2c45d5bbaaac6f0552c"
+
+
+def unit_index(ckpt) -> list[list[int]]:
+    """The ``[lo, hi)`` intervals ``units.json`` records."""
+    with open(os.path.join(ckpt, "units.json")) as fh:
+        return json.load(fh)["units"]
+
+
+def checkpoint_files(ckpt) -> list[str]:
+    """Every file under ``ckpt``, relative to it (directories omitted)."""
+    return sorted(
+        os.path.relpath(os.path.join(root, name), ckpt)
+        for root, _, names in os.walk(ckpt)
+        for name in names
+    )
 
 
 def crash_mid_cleanup(table, gini, split_config, config, fail_at_row=4000):
@@ -279,12 +303,13 @@ class TestCrashAndResume:
         )
         crash_mid_cleanup(disk_table, gini, split_config, config)
         ckpt = config.checkpoint_dir
-        assert os.path.exists(os.path.join(ckpt, "cleanup_state.json"))
+        units = unit_index(ckpt)
+        assert units
         result = resume_build(disk_table, gini, split_config, config)
         assert tree_to_json(result.tree) == expected
+        assert result.report.restored_units == len(units)
         # Success swept the recovery state and marked the build complete.
-        assert not os.path.exists(os.path.join(ckpt, "cleanup_state.json"))
-        assert os.listdir(os.path.join(ckpt, "spills")) == []
+        assert checkpoint_files(ckpt) == ["meta.json"]
         assert load_checkpoint(ckpt).phase == "complete"
 
     def test_resume_with_different_batch_size(
@@ -313,10 +338,7 @@ class TestCrashAndResume:
         # stores were only written, never read, so the prefix is exact.
         cleanup_prefix = crashed.tuples_read - N_ROWS
         assert 0 < cleanup_prefix < N_ROWS
-        state = json.load(
-            open(os.path.join(config.checkpoint_dir, "cleanup_state.json"))
-        )
-        checkpointed = state["rows_scanned"]
+        checkpointed = unit_index(config.checkpoint_dir)[-1][1]
         assert 0 < checkpointed <= cleanup_prefix
         result = resume_build(disk_table, gini, split_config, config)
         # Restore reads no table rows; the resumed cleanup reads exactly
@@ -353,6 +375,27 @@ class TestCrashAndResume:
         assert result.report.io["cleanup_scan"].tuples_read == 0
         assert tree_to_json(result.tree) == expected
 
+    def test_crash_in_finalize_rereads_nothing(
+        self, disk_table, gini, split_config, tmp_path, monkeypatch
+    ):
+        """The build's last unit lands before finalization."""
+        expected = baseline_json(disk_table, gini, split_config)
+        config = recovery_config(tmp_path)
+
+        import repro.core.boat as boat_module
+
+        def dying_finalize(*args, **kwargs):
+            raise OSError(5, "injected crash during finalization")
+
+        monkeypatch.setattr(boat_module, "finalize_tree", dying_finalize)
+        with pytest.raises(StorageError, match="finalization"):
+            boat_build(disk_table, gini, split_config, config)
+        monkeypatch.undo()
+        assert unit_index(config.checkpoint_dir)[-1][1] == N_ROWS
+        result = resume_build(disk_table, gini, split_config, config)
+        assert result.report.io["cleanup_scan"].tuples_read == 0
+        assert tree_to_json(result.tree) == expected
+
     def test_crash_before_any_cleanup_checkpoint(
         self, disk_table, gini, split_config, tmp_path
     ):
@@ -360,9 +403,7 @@ class TestCrashAndResume:
         expected = baseline_json(disk_table, gini, split_config)
         config = recovery_config(tmp_path, checkpoint_every_batches=10_000)
         crash_mid_cleanup(disk_table, gini, split_config, config, fail_at_row=300)
-        assert not os.path.exists(
-            os.path.join(config.checkpoint_dir, "cleanup_state.json")
-        )
+        assert not os.path.exists(os.path.join(config.checkpoint_dir, "units.json"))
         result = resume_build(disk_table, gini, split_config, config)
         assert tree_to_json(result.tree) == expected
 
@@ -371,11 +412,42 @@ class TestCrashAndResume:
     ):
         expected = baseline_json(disk_table, gini, split_config)
         config = recovery_config(tmp_path)
+        io = disk_table.io_stats
+        before = io.snapshot()
         result = boat_build(disk_table, gini, split_config, config)
         assert tree_to_json(result.tree) == expected
+        assert io.delta_since(before).full_scans == 2
         ckpt = config.checkpoint_dir
         assert load_checkpoint(ckpt).phase == "complete"
-        assert os.listdir(os.path.join(ckpt, "spills")) == []
+
+    def test_successful_builds_leave_only_meta(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        """No spill directory, an empty ``units/``: only ``meta.json``."""
+        config = recovery_config(tmp_path)
+        ckpt = config.checkpoint_dir
+        boat_build(disk_table, gini, split_config, config)
+        assert sorted(os.listdir(ckpt)) == ["meta.json", "units"]
+        assert checkpoint_files(ckpt) == ["meta.json"]
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        assert "units.json" in checkpoint_files(ckpt)
+        resume_build(disk_table, gini, split_config, config)
+        assert sorted(os.listdir(ckpt)) == ["meta.json", "units"]
+        assert checkpoint_files(ckpt) == ["meta.json"]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_kill_and_resume_gives_the_unchanged_tree(
+        self, disk_table, gini, split_config, tmp_path, n_workers
+    ):
+        """At one spilled row per store, crash + resume gives the tree an
+        uncheckpointed build gave before units replaced spill manifests."""
+        config = recovery_config(
+            tmp_path, n_workers=n_workers, parallel_backend="thread"
+        )
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        result = resume_build(disk_table, gini, split_config, config)
+        digest = hashlib.sha256(tree_to_json(result.tree).encode()).hexdigest()
+        assert digest == BASELINE_SHA256
 
     def test_build_with_retries_survives_transient_cleanup_fault(
         self, disk_table, gini, split_config, tmp_path
@@ -436,10 +508,16 @@ class TestKillAndResume:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        state_file = os.path.join(ckpt, "cleanup_state.json")
+        units_dir = os.path.join(ckpt, "units")
+
+        def unit_written():
+            return os.path.isdir(units_dir) and any(
+                name.endswith(".pkl") for name in os.listdir(units_dir)
+            )
+
         deadline = time.monotonic() + 60.0
         try:
-            while not os.path.exists(state_file):
+            while not unit_written():
                 assert victim.poll() is None, "build finished before SIGKILL"
                 assert time.monotonic() < deadline, "no checkpoint within 60s"
                 time.sleep(0.01)
@@ -449,14 +527,93 @@ class TestKillAndResume:
                 victim.kill()
             victim.wait()
         assert not os.path.exists(out)
-        assert os.path.exists(state_file)
+        assert unit_written()
 
         done = repro("build", table, out, "--sample-size", "2000",
                      "--bootstraps", "4", "--seed", "3", "--resume", ckpt)
         assert done.returncode == 0, done.stderr
         assert "resumed from checkpoint" in done.stdout
+        assert "checkpointed unit(s) restored" in done.stdout
         with open(out) as f_out, open(baseline) as f_base:
             assert f_out.read() == f_base.read()
+
+
+def node_state(root):
+    """Every node's statistics and store contents, preorder."""
+    out = []
+    for node in root.nodes():
+        stats = [node.class_counts, node.below_counts, node.above_counts]
+        stats += [node.cat_counts[i] for i in sorted(node.cat_counts)]
+        stats += [node.bucket_counts[i] for i in sorted(node.bucket_counts)]
+        for store in (node.held, node.family_store):
+            stats.append(None if store is None else store.read_all())
+        out.append(stats)
+    return out
+
+
+class TestUnitFiles:
+    """The checkpoint's unit files: exact, and refused when damaged."""
+
+    def test_merged_units_equal_a_scan_of_their_rows(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        ckpt = config.checkpoint_dir
+        skeleton = load_checkpoint(ckpt).skeleton
+        units = load_unit_results(ckpt, len(disk_table), contiguous=True)
+        covered = units[-1][1]
+        merged = restore_skeleton(skeleton, disk_table.schema, config, None)
+        merge_shard_stats(merged, (load() for _, _, load in units))
+        scanned = restore_skeleton(skeleton, disk_table.schema, config, None)
+        cleanup_scan(
+            scanned, disk_table, disk_table.schema, batch_rows=100, stop_row=covered
+        )
+        for want, got in zip(node_state(scanned), node_state(merged)):
+            assert len(want) == len(got)
+            for a, b in zip(want, got):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        merged.release()
+        scanned.release()
+
+    def test_torn_unit_files_are_ignored_and_swept(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        """A unit written after the last index (or torn mid-write) is not
+        recovery state: resume ignores it and success sweeps it."""
+        expected = baseline_json(disk_table, gini, split_config)
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        units_dir = os.path.join(config.checkpoint_dir, "units")
+        for name in ("unit-000000005000-000000005100.pkl",
+                     "unit-000000005100-000000005200.pkl.tmp"):
+            with open(os.path.join(units_dir, name), "wb") as fh:
+                fh.write(b"torn")
+        result = resume_build(disk_table, gini, split_config, config)
+        assert tree_to_json(result.tree) == expected
+        assert checkpoint_files(config.checkpoint_dir) == ["meta.json"]
+
+    def test_missing_unit_file_refused(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        units_dir = os.path.join(config.checkpoint_dir, "units")
+        os.remove(os.path.join(units_dir, sorted(os.listdir(units_dir))[1]))
+        with pytest.raises(RecoveryError, match="missing"):
+            resume_build(disk_table, gini, split_config, config)
+
+    def test_truncated_unit_file_refused(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        units_dir = os.path.join(config.checkpoint_dir, "units")
+        path = os.path.join(units_dir, sorted(os.listdir(units_dir))[1])
+        with open(path, "rb+") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(RecoveryError, match="unreadable"):
+            resume_build(disk_table, gini, split_config, config)
 
 
 class TestResumeGuards:
@@ -502,6 +659,43 @@ class TestResumeGuards:
                                     max_depth=8)
         with pytest.raises(RecoveryError, match="digest"):
             resume_build(disk_table, gini, drifted_split, config)
+
+    @pytest.mark.parametrize("edit", ["first_not_at_zero", "hole", "overlap"])
+    def test_flat_unit_index_must_tile_a_prefix(
+        self, disk_table, gini, split_config, tmp_path, edit
+    ):
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        index_path = os.path.join(config.checkpoint_dir, "units.json")
+        with open(index_path) as fh:
+            index = json.load(fh)
+        units = index["units"]
+        assert len(units) >= 3
+        if edit == "first_not_at_zero":
+            del units[0]
+        elif edit == "hole":
+            del units[1]
+        else:
+            units.append([units[0][0], units[1][1] + 1])
+        with open(index_path, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(RecoveryError, match="uncovered|overlaps"):
+            resume_build(disk_table, gini, split_config, config)
+
+    def test_older_format_version_refused(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        """A checkpoint of the spill-manifest format (version 1) is refused."""
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        meta_path = os.path.join(config.checkpoint_dir, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["format_version"] = 1
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(RecoveryError, match="format version 1"):
+            resume_build(disk_table, gini, split_config, config)
 
     def test_checkpoint_manager_validates_cadence(self, tmp_path):
         with pytest.raises(ValueError):

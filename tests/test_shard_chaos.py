@@ -320,4 +320,4 @@ class TestCoordinatorSigkill:
         assert "unit(s) restored" in resume.stdout
         assert out.read_text() == reference_json
         # Success consumed the checkpoint's recovery state.
-        assert not (ckpt / "shard_state.json").exists()
+        assert not (ckpt / "units.json").exists()

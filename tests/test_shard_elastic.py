@@ -476,7 +476,7 @@ class TestShardedCheckpointResume:
         _, ckpt = self._interrupt(tmp_path, flat_table)
         units = sorted(os.listdir(ckpt / "units"))
         assert units == ["unit-000000000000-000000002049.pkl"]
-        assert (ckpt / "shard_state.json").exists()
+        assert (ckpt / "units.json").exists()
         assert (ckpt / "skeleton.json").exists()
 
     def test_resume_completes_byte_identically(
@@ -557,7 +557,7 @@ class TestShardedCheckpointResume:
         finally:
             faulty.close()
             table.close()
-        assert (ckpt / "shard_state.json").exists()
+        assert (ckpt / "units.json").exists()
         # Second resume, clean transport: finishes byte-identically.
         result = self._resume(shard_dir, ckpt)
         assert trees_equal(result.tree, reference_tree)

@@ -276,88 +276,3 @@ class TestTupleStoreEdgeCases:
         store.append(data)
         assert np.array_equal(store.read_all(), data)
 
-
-class TestDurableSpill:
-    def test_checkpoint_restore_roundtrip(self, tmp_path, small_schema):
-        data = simple_xy_data(small_schema, 90, seed=22)
-        path = tmp_path / "node000001-held.spill"
-        store = TupleStore(
-            small_schema, memory_budget_rows=1000, durable_path=path
-        )
-        store.append(data)
-        assert not store.spilled  # under budget: still in RAM
-        n_rows = store.checkpoint()  # force-spills to the durable path
-        assert n_rows == 90
-        assert os.path.exists(path)
-        restored = TupleStore.restore(small_schema, path, n_rows)
-        assert np.array_equal(restored.read_all(), data)
-
-    def test_restore_truncates_torn_tail(self, tmp_path, small_schema):
-        data = simple_xy_data(small_schema, 40, seed=23)
-        path = tmp_path / "node000002-held.spill"
-        store = TupleStore(small_schema, memory_budget_rows=0, durable_path=path)
-        store.append(data)
-        n_rows = store.checkpoint()
-        # Rows appended after the checkpoint — plus a torn half-record —
-        # must be discarded on restore.
-        store.append(simple_xy_data(small_schema, 7, seed=24))
-        with open(path, "ab") as fh:
-            fh.write(b"\x7f" * (small_schema.record_size // 2))
-        restored = TupleStore.restore(small_schema, path, n_rows)
-        assert len(restored) == 40
-        assert np.array_equal(restored.read_all(), data)
-
-    def test_restore_empty_manifest_removes_stale_file(
-        self, tmp_path, small_schema
-    ):
-        path = tmp_path / "node000003-family.spill"
-        path.write_bytes(b"stale garbage from a crashed predecessor")
-        restored = TupleStore.restore(small_schema, path, 0)
-        assert len(restored) == 0
-        assert not path.exists()
-
-    def test_restore_missing_file_raises(self, tmp_path, small_schema):
-        with pytest.raises(StorageError, match="missing"):
-            TupleStore.restore(small_schema, tmp_path / "gone.spill", 5)
-
-    def test_restore_short_file_raises(self, tmp_path, small_schema):
-        path = tmp_path / "short.spill"
-        path.write_bytes(b"\x00" * small_schema.record_size)
-        with pytest.raises(StorageError, match="promises"):
-            TupleStore.restore(small_schema, path, 5)
-
-    def test_clear_keeps_durable_file(self, tmp_path, small_schema):
-        # Between the last checkpoint and the manager's success sweep the
-        # file IS the recovery state; clear() drops the store, not the file.
-        data = simple_xy_data(small_schema, 25, seed=25)
-        path = tmp_path / "node000004-held.spill"
-        store = TupleStore(small_schema, memory_budget_rows=0, durable_path=path)
-        store.append(data)
-        store.checkpoint()
-        store.clear()
-        assert len(store) == 0
-        assert path.exists()
-        restored = TupleStore.restore(small_schema, path, 25)
-        assert np.array_equal(restored.read_all(), data)
-
-    def test_empty_store_checkpoint_is_fileless(self, tmp_path, small_schema):
-        path = tmp_path / "node000005-held.spill"
-        store = TupleStore(small_schema, durable_path=path)
-        assert store.checkpoint() == 0
-        assert not path.exists()
-
-    def test_checkpoint_without_durable_path_raises(self, tmp_path, small_schema):
-        store = TupleStore(small_schema, directory=tmp_path)
-        with pytest.raises(StorageError, match="durable_path"):
-            store.checkpoint()
-
-    def test_incremental_checkpoints_append(self, tmp_path, small_schema):
-        data = simple_xy_data(small_schema, 100, seed=26)
-        path = tmp_path / "node000006-held.spill"
-        store = TupleStore(small_schema, memory_budget_rows=0, durable_path=path)
-        store.append(data[:30])
-        assert store.checkpoint() == 30
-        store.append(data[30:])
-        assert store.checkpoint() == 100
-        restored = TupleStore.restore(small_schema, path, 100)
-        assert np.array_equal(restored.read_all(), data)
