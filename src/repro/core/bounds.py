@@ -15,6 +15,8 @@ criterion cannot be trusted and the subtree is rebuilt.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..exceptions import SplitSelectionError
@@ -24,18 +26,21 @@ from ..splits.impurity import ImpurityMeasure
 MAX_CLASSES_FOR_BOUND = 16
 
 
-def corner_points(stamp_lo: np.ndarray, stamp_hi: np.ndarray) -> np.ndarray:
-    """The 2^k corners of the hyper-rectangle spanned by two stamp points."""
-    k = len(stamp_lo)
+@functools.lru_cache(maxsize=None)
+def _selectors(k: int) -> np.ndarray:
+    """(2^k, k) booleans: corner c takes the upper stamp in class j iff bit j of c."""
     if k > MAX_CLASSES_FOR_BOUND:
         raise SplitSelectionError(
             f"corner bound limited to {MAX_CLASSES_FOR_BOUND} classes, got {k}"
         )
-    choices = np.stack([stamp_lo, stamp_hi])  # (2, k)
-    selectors = (
-        np.arange(1 << k)[:, np.newaxis] >> np.arange(k)[np.newaxis, :]
-    ) & 1  # (2^k, k) of {0, 1}
-    return choices[selectors, np.arange(k)[np.newaxis, :]]
+    table = ((np.arange(1 << k)[:, np.newaxis] >> np.arange(k)) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
+def corner_points(stamp_lo: np.ndarray, stamp_hi: np.ndarray) -> np.ndarray:
+    """The 2^k corners of the hyper-rectangle spanned by two stamp points."""
+    return np.where(_selectors(len(stamp_lo)), stamp_hi, stamp_lo)
 
 
 def bucket_lower_bound(
@@ -58,6 +63,10 @@ def bucket_lower_bounds(
 ) -> np.ndarray:
     """Lower bounds for every bucket of one attribute's discretization.
 
+    All ``(m+1) * 2^k`` corners are built in one broadcast, bucket by
+    bucket in :func:`corner_points` order, and evaluated in one
+    ``impurity.weighted`` call — the same values a per-bucket loop gives.
+
     Args:
         bucket_counts: (m+1, k) per-bucket class counts (m edges make m+1
             buckets).
@@ -71,14 +80,12 @@ def bucket_lower_bounds(
     """
     bucket_counts = np.asarray(bucket_counts, dtype=np.int64)
     n_buckets, k = bucket_counts.shape
-    cum = np.cumsum(bucket_counts, axis=0)  # stamp points at bucket upper edges
-    stamps_hi = cum
-    stamps_lo = np.vstack([np.zeros((1, k), dtype=np.int64), cum[:-1]])
-    all_corners = []
-    for j in range(n_buckets):
-        all_corners.append(corner_points(stamps_lo[j], stamps_hi[j]))
-    flat = np.concatenate(all_corners)
-    values = impurity.weighted(flat, total_counts)
+    stamps_hi = np.cumsum(bucket_counts, axis=0)  # stamp points at bucket upper edges
+    stamps_lo = stamps_hi - bucket_counts
+    corners = np.where(
+        _selectors(k), stamps_hi[:, np.newaxis, :], stamps_lo[:, np.newaxis, :]
+    )  # (m+1, 2^k, k)
+    values = impurity.weighted(corners.reshape(-1, k), total_counts)
     return values.reshape(n_buckets, -1).min(axis=1)
 
 

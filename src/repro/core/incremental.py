@@ -383,8 +383,17 @@ class IncrementalBoat:
             self._plan = (shape, compile_skeleton(root, self._schema))
         plan = self._plan[1]
         step = self._config.batch_rows
-        for offset in range(0, len(rows), step):
-            apply_batch_delta(plan.deltas(rows[offset : offset + step], self._kernels), sign)
+        batches = (
+            plan.deltas(rows[offset : offset + step], self._kernels)
+            for offset in range(0, len(rows), step)
+        )
+        if sign > 0:
+            for deltas in batches:
+                apply_batch_delta(deltas)
+        else:
+            # One retraction for the whole chunk: a refused delete (a row
+            # that was never inserted) then changes no count and no store.
+            apply_batch_delta([d for deltas in batches for d in deltas], sign)
 
     # -- inspection ---------------------------------------------------------------------
 

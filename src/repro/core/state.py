@@ -33,6 +33,7 @@ from ..config import BoatConfig
 from ..exceptions import SplitSelectionError, StorageError
 from ..kernels import DEFAULT_KERNELS, KernelBackend
 from ..storage import CLASS_COLUMN, IOStats, Schema, TupleStore
+from ..storage.spill import StoreRemoval, earliest_matches
 from ..splits.methods import ImpuritySplitSelection
 from ..splits.quest import QuestSplitSelection
 from .coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
@@ -264,72 +265,54 @@ def apply_batch_delta(deltas: list[NodeDelta], sign: int = 1) -> None:
 
     Must run in the parent thread; callers preserve scan order by
     applying whole batches in the order they were scanned.  Retraction
-    removes the delta's held/family rows from the node stores.
+    removes the delta's held/family rows from the node stores.  Every
+    store locates its rows before any store or count changes, so a tuple
+    that was never inserted raises :class:`StorageError` and leaves every
+    count and store as it was.
     """
+    if sign < 0:
+        for removal in _locate_removals(deltas):
+            removal.commit()
     for delta in deltas:
         node = delta.node
         _add_counts(node, delta, sign)
         if delta.below_counts is not None:
             node.below_counts += sign * delta.below_counts
             node.above_counts += sign * delta.above_counts
+        if sign > 0:
+            if delta.held_rows is not None:
+                node.held.append(delta.held_rows)
+            if delta.family_rows is not None:
+                node.family_store.append(delta.family_rows)
+
+
+def _locate_removals(deltas: list[NodeDelta]) -> list[StoreRemoval]:
+    """Locate every store's retracted rows (one ``locate`` per store)."""
+    needles: dict[int, tuple[TupleStore, list[np.ndarray]]] = {}
+    for delta in deltas:
         for store, rows in (
-            (node.held, delta.held_rows),
-            (node.family_store, delta.family_rows),
+            (delta.node.held, delta.held_rows),
+            (delta.node.family_store, delta.family_rows),
         ):
-            if rows is None:
-                continue
-            if sign > 0:
-                store.append(rows)
-            else:
-                _remove_from_store(store, rows)
-
-
-def _remove_from_store(store: TupleStore, records: np.ndarray) -> None:
-    remaining = multiset_remove(store.read_all(), records)
-    store.replace(remaining)
-
-
-#: Haystack rows :func:`multiset_remove` turns into bytes at a time.
-REMOVE_BLOCK_ROWS = 4096
+            if rows is not None and len(rows):
+                needles.setdefault(id(store), (store, []))[1].append(rows)
+    return [
+        store.locate(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        for store, parts in needles.values()
+    ]
 
 
 def multiset_remove(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     """Remove one occurrence per needle from a record array (bitwise match).
 
-    The earliest matching rows go.  The haystack is compared one block of
-    :data:`REMOVE_BLOCK_ROWS` rows at a time, so a delete holds one block's
-    bytes beside the store, not a byte copy of the whole store.
-
-    Raises :class:`StorageError` if any needle has no remaining match —
-    deleting a tuple that was never inserted is a caller bug the paper's
-    model does not allow.
+    The earliest matching rows go, found by the matcher
+    :meth:`TupleStore.remove` uses
+    (:func:`~repro.storage.spill.earliest_matches`).  Raises
+    :class:`StorageError` if any needle has no remaining match.
     """
     if len(needles) == 0:
         return haystack
-    haystack = np.ascontiguousarray(haystack)
-    size = haystack.dtype.itemsize
-    pending: dict[bytes, int] = {}
-    for i in range(len(needles)):
-        key = np.ascontiguousarray(needles[i : i + 1]).tobytes()
-        pending[key] = pending.get(key, 0) + 1
-    keep = np.ones(len(haystack), dtype=bool)
-    removed = 0
-    for lo in range(0, len(haystack), REMOVE_BLOCK_ROWS):
-        if removed == len(needles):
-            break
-        raw = haystack[lo : lo + REMOVE_BLOCK_ROWS].tobytes()
-        for start in range(0, len(raw), size):
-            key = raw[start : start + size]
-            count = pending.get(key, 0)
-            if count:
-                pending[key] = count - 1
-                keep[lo + start // size] = False
-                removed += 1
-    if removed != len(needles):
-        raise StorageError(
-            f"{len(needles) - removed} deleted tuple(s) not present in store"
-        )
-    return haystack[keep]
+    return np.delete(haystack, earliest_matches(haystack, needles))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ outlives the process — ``clear``/``delete`` remove it, and garbage
 collection removes it as a last resort.  Spills are never recovery
 state: a checkpointed build persists its cleanup units instead (see
 ``docs/RECOVERY.md``).
+
+Deletes (incremental maintenance) go through :meth:`TupleStore.remove`:
+rows are located by a per-row fingerprint prefilter plus an exact byte
+comparison, then marked dead in place, so a delete costs what its batch
+and the store's chunk count cost, not a copy of the store.
 """
 
 from __future__ import annotations
@@ -26,6 +31,111 @@ import numpy as np
 from ..exceptions import StorageError
 from .io_stats import IOStats
 from .schema import Schema
+
+#: Rows a remove from a spilled store reads (and rewrites) at a time.
+SPILL_SCAN_ROWS = 4096
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_FINAL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_FINAL_2 = np.uint64(0x94D049BB133111EB)
+
+
+def row_fingerprints(rows: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each record's bytes, vectorized over the rows.
+
+    The record is read as 8-byte words (the last word overlaps the one
+    before when the record size is not a multiple of 8), folded with a
+    multiply-xorshift step per word and finished with splitmix64's mixer.
+    Equal bytes give equal fingerprints; unequal bytes almost never do,
+    and callers confirm every fingerprint hit byte for byte.
+    """
+    rows = np.ascontiguousarray(rows)
+    n, size = len(rows), rows.dtype.itemsize
+    raw = rows.view(np.uint8).reshape(n, size)
+    if size < 8:
+        raw = np.pad(raw, ((0, 0), (0, 8 - size)))
+        size = 8
+    h = np.full(n, size, dtype=np.uint64)
+    for offset in [*range(0, size - 7, 8), *([size - 8] if size % 8 else [])]:
+        h ^= raw[:, offset : offset + 8].view(np.uint64)[:, 0]
+        h *= _MIX
+        h ^= h >> np.uint64(29)
+    h ^= h >> np.uint64(30)
+    h *= _FINAL_1
+    h ^= h >> np.uint64(27)
+    h *= _FINAL_2
+    h ^= h >> np.uint64(31)
+    return h
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """The records of a contiguous array as opaque byte strings."""
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize)))
+
+
+class _Needles:
+    """The records one remove must find: distinct byte strings and counts.
+
+    :meth:`take` is the one matcher of :meth:`TupleStore.remove` and
+    :func:`earliest_matches`.  A fingerprint bitmap keeps only candidate
+    rows; each candidate is then compared byte for byte (so ``-0.0`` is
+    not ``0.0`` and NaN payloads differ), and the earliest matches of
+    each record are taken, as many as are still wanted.
+    """
+
+    def __init__(self, needles: np.ndarray):
+        self.keys, counts = np.unique(
+            _keys(np.ascontiguousarray(needles)), return_counts=True
+        )
+        self.remaining = counts.astype(np.int64)
+        self.pending = len(needles)
+        bits = min(22, max(10, len(self.keys).bit_length() + 6))
+        self._mask = np.uint64((1 << bits) - 1)
+        self._bitmap = np.zeros(1 << bits, dtype=bool)
+        self._bitmap[row_fingerprints(self.keys) & self._mask] = True
+
+    def take(
+        self, rows: np.ndarray, fingerprints: np.ndarray, dead: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Ascending indices of the rows of ``rows`` this call claims."""
+        hit = self._bitmap[fingerprints & self._mask]
+        if dead is not None:
+            hit &= ~dead
+        candidates = np.flatnonzero(hit)
+        if not len(candidates):
+            return candidates
+        found = _keys(rows)[candidates]
+        group = np.minimum(np.searchsorted(self.keys, found), len(self.keys) - 1)
+        exact = self.keys[group] == found
+        candidates, group = candidates[exact], group[exact]
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        rank = np.arange(len(group)) - np.searchsorted(group, group)
+        claimed = rank < self.remaining[group]
+        self.remaining -= np.bincount(group[claimed], minlength=len(self.keys))
+        self.pending = int(self.remaining.sum())
+        return np.sort(candidates[order][claimed])
+
+    def check(self) -> None:
+        if self.pending:
+            raise StorageError(
+                f"{self.pending} deleted tuple(s) not present in store"
+            )
+
+
+def earliest_matches(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Indices of the earliest rows of ``haystack`` matching ``needles``.
+
+    One row per needle, matched bitwise; raises :class:`StorageError` if
+    any needle has no remaining match.
+    """
+    if haystack.dtype != needles.dtype:
+        raise StorageError("remove with mismatched dtype")
+    haystack = np.ascontiguousarray(haystack)
+    wanted = _Needles(needles)
+    hits = wanted.take(haystack, row_fingerprints(haystack))
+    wanted.check()
+    return hits
 
 
 def _rebatch(
@@ -107,20 +217,19 @@ class SpillFile:
             raise StorageError("spill append with mismatched dtype")
         if batch.size == 0:
             return
-        raw = np.ascontiguousarray(batch).tobytes()
+        raw = np.ascontiguousarray(batch).view(np.uint8)
         with open(self._path, "ab") as fh:
-            fh.write(raw)
+            fh.write(raw.data)
         self._n_rows += len(batch)
         if self._io_stats is not None:
-            self._io_stats.record_write(len(batch), len(raw))
+            self._io_stats.record_write(len(batch), raw.nbytes)
 
     def read_all(self) -> np.ndarray:
         """The full contents as a *writable* structured array.
 
         The raw bytes are copied into a mutable buffer before the numpy
-        view is taken — callers (e.g. incremental deletion's
-        ``multiset_remove``) mutate the result in place, which a read-only
-        ``frombuffer`` over ``bytes`` would refuse.
+        view is taken, so callers may mutate the result in place, which a
+        read-only ``frombuffer`` over ``bytes`` would refuse.
         """
         self._check_live()
         dtype = self._schema.dtype()
@@ -151,28 +260,17 @@ class SpillFile:
         with open(self._path, "rb", buffering=_io.DEFAULT_BUFFER_SIZE) as fh:
             while remaining > 0:
                 take = min(batch_rows, remaining)
-                raw = fh.read(take * rec)
-                if len(raw) != take * rec:
+                raw = bytearray(take * rec)
+                got = fh.readinto(raw)
+                if got != take * rec:
                     raise StorageError(
                         f"spill file {self._path}: short read "
-                        f"({len(raw)} of {take * rec} bytes)"
+                        f"({got} of {take * rec} bytes)"
                     )
                 remaining -= take
                 if self._io_stats is not None:
-                    self._io_stats.record_read(take, len(raw))
-                yield np.frombuffer(bytearray(raw), dtype=dtype)
-
-    def rewrite(self, batch: np.ndarray) -> None:
-        """Replace the file's contents (used when deleting tuples)."""
-        self._check_live()
-        if batch.dtype != self._schema.dtype():
-            raise StorageError("spill rewrite with mismatched dtype")
-        raw = np.ascontiguousarray(batch).tobytes()
-        with open(self._path, "wb") as fh:
-            fh.write(raw)
-        self._n_rows = len(batch)
-        if self._io_stats is not None:
-            self._io_stats.record_write(len(batch), len(raw))
+                    self._io_stats.record_read(take, got)
+                yield np.frombuffer(raw, dtype=dtype)
 
     def delete(self) -> None:
         """Remove the backing file; further use raises."""
@@ -194,8 +292,16 @@ class TupleStore:
     """Held tuples for one node: RAM up to a budget, disk beyond it.
 
     The store preserves append order.  ``read_all`` always returns the full
-    contents (memory + spilled); ``replace`` substitutes the contents, used
-    by incremental deletion.
+    contents; ``remove`` deletes one stored row per needle (incremental
+    deletion) and ``replace`` substitutes the contents.
+
+    In memory the store is a list of append-order chunks, each with an
+    optional mask of removed ("dead") rows.  Row fingerprints
+    (:func:`row_fingerprints`) are computed on a store's first ``remove``
+    and kept up to date by later appends, so builds, which never delete,
+    never pay for them.  Once a store has seen a remove, ``read_all``
+    folds its live rows back into one chunk, so the chunk count stays
+    small and repeated reads of an unchanged store copy nothing.
     """
 
     def __init__(
@@ -212,8 +318,15 @@ class TupleStore:
         self._directory = directory
         self._io_stats = io_stats
         self._chunks: list[np.ndarray] = []
-        self._mem_rows = 0
+        #: Per chunk: a mask of its removed rows, or None if all are live.
+        self._dead: list[np.ndarray | None] = []
+        #: Per chunk row fingerprints, once a remove has asked for them.
+        self._fingerprints: list[np.ndarray] | None = None
+        self._mem_rows = 0  # live rows in memory
         self._spill: SpillFile | None = None
+        #: Bumped by every change of contents or chunk layout, so a
+        #: located removal can tell that its row indices went stale.
+        self._version = 0
 
     @property
     def schema(self) -> Schema:
@@ -234,72 +347,198 @@ class TupleStore:
             return
         if self._spill is None and self._mem_rows + len(batch) > self._budget:
             self._spill_out()
+        self._version += 1
         if self._spill is not None:
             self._spill.append(batch)
         else:
-            self._chunks.append(np.ascontiguousarray(batch))
-            self._mem_rows += len(batch)
+            chunk = np.ascontiguousarray(batch)
+            self._chunks.append(chunk)
+            self._dead.append(None)
+            if self._fingerprints is not None:
+                self._fingerprints.append(row_fingerprints(chunk))
+            self._mem_rows += len(chunk)
+
+    def _live_chunks(self) -> Iterator[np.ndarray]:
+        for chunk, dead in zip(self._chunks, self._dead):
+            yield chunk if dead is None else chunk[~dead]
+
+    def _set_chunks(self, chunks: list[np.ndarray]) -> None:
+        self._version += 1
+        self._chunks = chunks
+        self._dead = [None] * len(chunks)
+        self._fingerprints = None
+        self._mem_rows = sum(map(len, chunks))
 
     def _spill_out(self) -> None:
         self._spill = SpillFile(self._schema, self._directory, self._io_stats)
-        for chunk in self._chunks:
+        for chunk in self._live_chunks():
             self._spill.append(chunk)
-        self._chunks.clear()
-        self._mem_rows = 0
+        self._set_chunks([])
 
     def read_all(self) -> np.ndarray:
-        parts: list[np.ndarray] = []
         if self._spill is not None:
-            parts.append(self._spill.read_all())
-        parts.extend(self._chunks)
-        if not parts:
+            # A spilled store keeps nothing in memory: appends go to the file.
+            return self._spill.read_all()
+        if not self._chunks:
             return self._schema.empty(0)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if self._fingerprints is None:
+            return _join(list(self._live_chunks()))
+        if len(self._chunks) > 1 or self._dead[0] is not None:
+            fingerprints = _join(
+                [f if d is None else f[~d] for f, d in zip(self._fingerprints, self._dead)]
+            )
+            self._set_chunks([_join(list(self._live_chunks()))])
+            self._fingerprints = [fingerprints]
+        return self._chunks[0]
 
     def iter_batches(self, batch_rows: int) -> Iterator[np.ndarray]:
-        """Yield the contents re-batched to ``batch_rows``.
+        """Yield the live contents re-batched to ``batch_rows``.
 
         Spilled contents are streamed from the file one batch at a time —
         peak allocation stays O(batch) regardless of store size, so a
         store that outgrew memory is never materialized whole just to be
         re-batched.
         """
+        if self._spill is not None:
+            yield from _rebatch(self._spill.iter_batches(batch_rows), batch_rows)
+        else:
+            yield from _rebatch(self._live_chunks(), batch_rows)
 
-        def chunks() -> Iterator[np.ndarray]:
-            if self._spill is not None:
-                yield from self._spill.iter_batches(batch_rows)
-            yield from self._chunks
+    def locate(self, needles: np.ndarray) -> "StoreRemoval":
+        """Find one stored row per needle, changing nothing yet.
 
-        yield from _rebatch(chunks(), batch_rows)
+        The earliest live occurrence of each record goes first, matched
+        bitwise.  Raises :class:`StorageError` — with the store untouched
+        — if any needle has no remaining match: deleting a tuple that was
+        never inserted is a caller bug the paper's model does not allow.
+        The returned removal applies with :meth:`StoreRemoval.commit`; a
+        caller deleting from several stores locates in all of them first,
+        so a refused delete changes none.
+        """
+        if needles.dtype != self._schema.dtype():
+            raise StorageError("TupleStore remove with mismatched dtype")
+        wanted = _Needles(needles)
+        hits: list[np.ndarray] = []
+        if wanted.pending and self._spill is not None:
+            offset = 0
+            for batch in self._spill.iter_batches(SPILL_SCAN_ROWS):
+                hits.append(wanted.take(batch, row_fingerprints(batch)) + offset)
+                offset += len(batch)
+                del batch  # one batch in memory: free it before the next read
+                if not wanted.pending:
+                    break
+        elif wanted.pending:
+            if self._fingerprints is None:
+                self._fingerprints = [row_fingerprints(c) for c in self._chunks]
+            for chunk, fingerprints, dead in zip(
+                self._chunks, self._fingerprints, self._dead
+            ):
+                hits.append(wanted.take(chunk, fingerprints, dead))
+                if not wanted.pending:
+                    break
+        wanted.check()
+        return StoreRemoval(self, hits)
+
+    def remove(self, needles: np.ndarray) -> None:
+        """Delete one stored row per needle (see :meth:`locate`)."""
+        self.locate(needles).commit()
+
+    def _remove_in_memory(self, hits: list[np.ndarray]) -> None:
+        """Mark rows dead; drop all-dead chunks, compact mostly-dead ones."""
+        self._version += 1
+        chunks, dead_masks, fingerprints = [], [], []
+        for i, (chunk, dead, prints) in enumerate(
+            zip(self._chunks, self._dead, self._fingerprints)
+        ):
+            if i < len(hits) and len(hits[i]):
+                dead = np.zeros(len(chunk), dtype=bool) if dead is None else dead
+                dead[hits[i]] = True
+                self._mem_rows -= len(hits[i])
+                n_dead = int(dead.sum())
+                if n_dead == len(chunk):
+                    continue
+                if 2 * n_dead > len(chunk):
+                    chunk, prints, dead = chunk[~dead], prints[~dead], None
+            chunks.append(chunk)
+            dead_masks.append(dead)
+            fingerprints.append(prints)
+        self._chunks, self._dead, self._fingerprints = chunks, dead_masks, fingerprints
+
+    def _remove_spilled(self, hits: np.ndarray) -> None:
+        """Stream the survivors into a fresh spill file, or back into RAM.
+
+        Two passes over the file (locate, then this one), one batch at a
+        time: a delete never holds the spilled contents in memory.
+        """
+        survivors = len(self._spill) - len(hits)
+        fresh = None
+        if survivors > self._budget:
+            fresh = SpillFile(self._schema, self._directory, self._io_stats)
+        kept: list[np.ndarray] = []
+        offset = 0
+        try:
+            for batch in self._spill.iter_batches(SPILL_SCAN_ROWS):
+                start, offset = offset, offset + len(batch)
+                lo, hi = np.searchsorted(hits, [start, offset])
+                if hi > lo:
+                    batch = np.delete(batch, hits[lo:hi] - start)
+                if fresh is not None:
+                    fresh.append(batch)
+                elif len(batch):
+                    kept.append(batch)
+                del batch
+        except BaseException:
+            if fresh is not None:
+                fresh.delete()
+            raise
+        self._spill.delete()
+        self._spill = fresh
+        self._set_chunks(kept)
 
     def replace(self, batch: np.ndarray) -> None:
         """Substitute the store's entire contents with ``batch``.
 
         The memory budget applies exactly as it does to :meth:`append`: a
-        replacement larger than the budget goes to the spill file even
-        when the store previously fit in memory.
+        replacement larger than the budget goes to a spill file even when
+        the store previously fit in memory.
         """
         if batch.dtype != self._schema.dtype():
             raise StorageError("TupleStore replace with mismatched dtype")
-        if self._spill is not None and len(batch) <= self._budget:
-            self._spill.delete()
-            self._spill = None
-        if self._spill is None and len(batch) > self._budget:
-            self._chunks.clear()
-            self._mem_rows = 0
-            self._spill = SpillFile(self._schema, self._directory, self._io_stats)
-        if self._spill is not None:
-            self._spill.rewrite(batch)
-            self._chunks.clear()
-            self._mem_rows = 0
-        else:
-            self._chunks = [np.ascontiguousarray(batch)] if batch.size else []
-            self._mem_rows = len(batch)
+        self.clear()
+        self.append(batch)
 
     def clear(self) -> None:
         """Drop all contents and delete the spill file."""
-        self._chunks.clear()
-        self._mem_rows = 0
+        self._set_chunks([])
         if self._spill is not None:
             self._spill.delete()
             self._spill = None
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class StoreRemoval:
+    """Rows one :meth:`TupleStore.locate` found, ready to delete.
+
+    :meth:`commit` applies the removal; it must run before the store
+    changes again, and a removal commits at most once.
+    """
+
+    def __init__(self, store: TupleStore, hits: list[np.ndarray]):
+        self._store = store
+        self._hits = hits
+        self._version = store._version
+
+    def commit(self) -> None:
+        store = self._store
+        if store._version != self._version:
+            raise StorageError("TupleStore changed between locate and commit")
+        self._version = None
+        if not any(len(h) for h in self._hits):
+            return
+        if store._spill is not None:
+            store._remove_spilled(np.concatenate(self._hits))
+        else:
+            store._remove_in_memory(self._hits)

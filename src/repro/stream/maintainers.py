@@ -32,7 +32,6 @@ from ..config import SplitConfig
 from ..core import UpdateReport
 from ..core.finalize import FinalizeReport
 from ..core.incremental import REPORT_HISTORY
-from ..core.state import multiset_remove
 from ..exceptions import TreeStructureError
 from ..splits.base import SplitSelectionMethod
 from ..storage import IOStats, Schema
@@ -94,8 +93,7 @@ class RebuildMaintainer:
         if operation == "insert":
             self._store.append(chunk)
         else:
-            remaining = multiset_remove(self._store.read_all(), chunk)
-            self._store.replace(remaining)
+            self._store.remove(chunk)
         rows = self._store.read_all()
         self._tree = self._build_fn(rows)
         self._tree.validate()

@@ -90,6 +90,38 @@ class TestSoundness:
         assert np.all(bounds <= profile.impurities + 1e-12)
 
 
+def per_bucket_bounds(bucket_counts, total_counts, impurity):
+    """Reference: each bucket's 2^k corners built on their own, by fancy
+    indexing of the stacked stamp points, then one ``weighted`` call."""
+    n_buckets, k = bucket_counts.shape
+    cum = np.cumsum(bucket_counts, axis=0)
+    lows = np.vstack([np.zeros((1, k), dtype=np.int64), cum[:-1]])
+    selectors = (np.arange(1 << k)[:, np.newaxis] >> np.arange(k)) & 1
+    corners = [
+        np.stack([lows[j], cum[j]])[selectors, np.arange(k)] for j in range(n_buckets)
+    ]
+    values = impurity.weighted(np.concatenate(corners), total_counts)
+    return values.reshape(n_buckets, -1).min(axis=1)
+
+
+class TestBroadcastBounds:
+    """The one-broadcast bound equals the per-bucket loop bit for bit."""
+
+    @pytest.mark.parametrize("impurity", [Gini(), Entropy()])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bitwise_equal_to_per_bucket_loop(self, impurity, k):
+        rng = np.random.default_rng(k)
+        for _ in range(30):
+            n_buckets = int(rng.integers(1, 40))
+            counts = rng.integers(0, 50, (n_buckets, k)).astype(np.int64)
+            counts[rng.random(n_buckets) < 0.3] = 0  # empty buckets
+            counts[:, rng.random(k) < 0.2] = 0  # a class absent everywhere
+            total = counts.sum(axis=0)
+            got = bucket_lower_bounds(counts, total, impurity)
+            expected = per_bucket_bounds(counts, total, impurity)
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestBucketLowerBound:
     def test_scalar_version(self):
         value = bucket_lower_bound(

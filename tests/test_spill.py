@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.storage import CLASS_COLUMN, IOStats, SpillFile, TupleStore
+from repro.storage.spill import SPILL_SCAN_ROWS
 
 from .conftest import simple_xy_data
 
@@ -20,15 +21,6 @@ class TestSpillFile:
         spill.append(data[70:])
         assert len(spill) == 150
         assert np.array_equal(spill.read_all(), data)
-        spill.delete()
-
-    def test_rewrite_replaces_contents(self, tmp_path, small_schema):
-        data = simple_xy_data(small_schema, 60, seed=3)
-        spill = SpillFile(small_schema, tmp_path)
-        spill.append(data)
-        spill.rewrite(data[:10])
-        assert len(spill) == 10
-        assert np.array_equal(spill.read_all(), data[:10])
         spill.delete()
 
     def test_mismatched_dtype_rejected(self, tmp_path, small_schema):
@@ -276,3 +268,162 @@ class TestTupleStoreEdgeCases:
         store.append(data)
         assert np.array_equal(store.read_all(), data)
 
+
+
+def oracle_remove(rows: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Row-by-row reference: the earliest byte-equal row goes per needle."""
+    pending: dict[bytes, int] = {}
+    for record in needles:
+        pending[record.tobytes()] = pending.get(record.tobytes(), 0) + 1
+    keep = np.ones(len(rows), dtype=bool)
+    for i, record in enumerate(rows):
+        if pending.get(record.tobytes(), 0):
+            pending[record.tobytes()] -= 1
+            keep[i] = False
+    if any(pending.values()):
+        raise LookupError("needle not present")
+    return rows[keep]
+
+
+def few_distinct_rows(schema, n: int, rng) -> np.ndarray:
+    """Rows over few distinct records, with -0.0, 0.0 and two NaN payloads."""
+    rows = schema.empty(n)
+    nan_a = np.float64(np.nan)
+    nan_b = np.frombuffer(np.uint64(0x7FF8000000000123).tobytes(), np.float64)[0]
+    rows["x"] = rng.choice(np.array([0.0, -0.0, nan_a, nan_b, 1.5]), n)
+    rows["y"] = rng.integers(0, 2, n).astype(np.float64)
+    rows["color"] = rng.integers(0, 2, n, dtype=np.int32)
+    rows[CLASS_COLUMN] = rng.integers(0, 2, n, dtype=np.int32)
+    return rows
+
+
+class TestRemove:
+    """``TupleStore.remove`` against the row-by-row oracle."""
+
+    @pytest.mark.parametrize("budget", [1 << 20, 60, 0])
+    def test_matches_oracle_over_random_layouts(self, tmp_path, small_schema, budget):
+        rng = np.random.default_rng(budget + 3)
+        for _ in range(40):
+            store = TupleStore(small_schema, budget, tmp_path)
+            expected = small_schema.empty(0)
+            for _ in range(int(rng.integers(1, 5))):
+                # Appends in random chunk sizes, then removes, interleaved.
+                for _ in range(int(rng.integers(1, 4))):
+                    chunk = few_distinct_rows(small_schema, int(rng.integers(1, 30)), rng)
+                    store.append(chunk)
+                    expected = np.concatenate([expected, chunk])
+                if not len(expected):
+                    continue
+                take = rng.integers(0, len(expected), int(rng.integers(1, 12)))
+                needles = expected[take]
+                try:
+                    expected_after = oracle_remove(expected, needles)
+                except LookupError:
+                    continue  # duplicate picks beyond the stored multiplicity
+                store.remove(needles)
+                expected = expected_after
+                assert len(store) == len(expected)
+                assert store.read_all().tobytes() == expected.tobytes()
+                assert np.concatenate(
+                    [*store.iter_batches(7), small_schema.empty(0)]
+                ).tobytes() == expected.tobytes()
+            store.clear()
+
+    @pytest.mark.parametrize("budget", [1 << 20, 0])
+    def test_foreign_needle_leaves_store_unchanged(self, tmp_path, small_schema, budget):
+        rng = np.random.default_rng(7)
+        store = TupleStore(small_schema, budget, tmp_path)
+        rows = few_distinct_rows(small_schema, 50, rng)
+        store.append(rows[:20])
+        store.append(rows[20:])
+        store.remove(rows[:3])  # some chunk now carries dead rows
+        before = store.read_all().tobytes()
+        foreign = rows[:2].copy()
+        foreign["y"][1] = 9.0
+        with pytest.raises(StorageError):
+            store.remove(foreign)
+        assert store.read_all().tobytes() == before
+        # ... and -0.0 is not 0.0: the bitwise twin of a stored row is foreign.
+        twin = rows[:1].copy()
+        twin["x"] = 0.0 if np.signbit(twin["x"][0]) else -0.0
+        if twin.tobytes() not in {r.tobytes() for r in store.read_all()}:
+            with pytest.raises(StorageError):
+                store.remove(twin)
+        assert store.read_all().tobytes() == before
+        store.clear()
+
+    def test_dead_rows_then_compaction_and_drop(self, small_schema):
+        data = simple_xy_data(small_schema, 40, seed=30)
+        store = TupleStore(small_schema)
+        store.append(data[:20])
+        store.append(data[20:])
+        store.remove(data[:5])  # 5 of 20 dead: masked, not copied
+        assert len(store._chunks) == 2 and store._dead[0] is not None
+        store.remove(data[5:12])  # 12 of 20 dead: compacted
+        assert store._dead[0] is None and len(store._chunks[0]) == 8
+        store.remove(data[12:20])  # all dead: chunk dropped
+        assert len(store._chunks) == 1
+        assert store.read_all().tobytes() == data[20:].tobytes()
+
+    def test_fingerprints_are_lazy(self, small_schema):
+        data = simple_xy_data(small_schema, 30, seed=31)
+        store = TupleStore(small_schema)
+        store.append(data[:10])
+        assert store._fingerprints is None  # builds never pay for them
+        store.remove(data[:1])
+        store.append(data[10:])
+        assert [len(f) for f in store._fingerprints] == [len(c) for c in store._chunks]
+
+    def test_stale_removal_refused(self, small_schema):
+        data = simple_xy_data(small_schema, 30, seed=32)
+        store = TupleStore(small_schema)
+        store.append(data)
+        removal = store.locate(data[:2])
+        store.append(data[:1])
+        with pytest.raises(StorageError):
+            removal.commit()
+        assert len(store) == 31
+
+    def test_remove_within_budget_unspills(self, tmp_path, small_schema):
+        data = simple_xy_data(small_schema, 100, seed=33)
+        store = TupleStore(small_schema, memory_budget_rows=50, directory=tmp_path)
+        store.append(data)
+        assert store.spilled
+        store.remove(data[20:])
+        assert not store.spilled
+        assert store.read_all().tobytes() == data[:20].tobytes()
+
+    def test_remove_over_budget_stays_spilled(self, tmp_path, small_schema):
+        data = simple_xy_data(small_schema, 200, seed=34)
+        store = TupleStore(small_schema, memory_budget_rows=50, directory=tmp_path)
+        store.append(data)
+        store.remove(data[150:])
+        assert store.spilled
+        assert store.read_all().tobytes() == data[:150].tobytes()
+        store.remove(data[:150])
+        assert len(store) == 0 and not store.spilled
+        assert os.listdir(tmp_path) == []
+
+    def test_spilled_remove_peak_memory_is_o_batch(self, tmp_path, small_schema):
+        n = 50_000
+        data = simple_xy_data(small_schema, n, seed=35)
+        store = TupleStore(small_schema, memory_budget_rows=1, directory=tmp_path)
+        store.append(data)
+        rng = np.random.default_rng(36)
+        needles = data[np.sort(rng.choice(n, 200, replace=False))]
+        expected = oracle_remove(data, needles)
+        record = small_schema.record_size
+        batch_bytes = SPILL_SCAN_ROWS * record
+        tracemalloc.start()
+        try:
+            store.remove(needles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.spilled
+        assert store.read_all().tobytes() == expected.tobytes()
+        # A batch read, its fingerprints and its survivors, plus the
+        # needles; loading the whole file (the old path) needs 4x the bound.
+        bound = 3 * batch_bytes + needles.nbytes
+        assert 4 * bound < n * record
+        assert peak < bound, f"spilled remove peaked at {peak}B (bound {bound}B)"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.config import BoatConfig, SplitConfig
-from repro.core import state
 from repro.core import (
     BoatNode,
     CoarseCategorical,
@@ -16,7 +15,7 @@ from repro.core import (
 )
 from repro.exceptions import StorageError
 from repro.splits import Gini
-from repro.storage import CLASS_COLUMN
+from repro.storage import CLASS_COLUMN, Attribute, Schema, TupleStore
 
 from .conftest import simple_xy_data
 
@@ -166,21 +165,21 @@ class TestMultisetRemove:
         data = simple_xy_data(small_schema, 5, seed=14)
         assert len(multiset_remove(data, data)) == 0
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
-    def test_earliest_matches_go_across_blocks(self, monkeypatch, block_rows):
-        """Blockwise comparison removes exactly the rows a row-by-row scan does."""
-        monkeypatch.setattr(state, "REMOVE_BLOCK_ROWS", block_rows)
-        dtype = np.dtype([("a", "<f8"), ("b", "<i4")])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+    def test_earliest_matches_go_across_blocks(self, chunk_rows):
+        """Over any chunk layout, a store removes exactly the rows a
+        row-by-row scan does, and so does ``multiset_remove``."""
+        schema = Schema([Attribute.numerical("a")], n_classes=2)
         rng = np.random.default_rng(5)
         for _ in range(50):
-            haystack = np.zeros(int(rng.integers(1, 40)), dtype)
-            # Few distinct records: duplicates straddle block edges; -0.0
+            haystack = schema.empty(int(rng.integers(1, 40)))
+            # Few distinct records: duplicates straddle chunk edges; -0.0
             # and NaN match only bitwise.
             haystack["a"] = rng.choice([0.0, -0.0, np.nan, 1.5], len(haystack))
-            haystack["b"] = rng.integers(0, 2, len(haystack))
+            haystack[CLASS_COLUMN] = rng.integers(0, 2, len(haystack))
             needles = haystack[rng.integers(0, len(haystack), rng.integers(1, 8))]
             if rng.random() < 0.2:
-                needles["b"][-1] = 7  # a record never inserted
+                needles["a"][-1] = 7.0  # a record never inserted
             pending = {}
             for record in needles:
                 pending[record.tobytes()] = pending.get(record.tobytes(), 0) + 1
@@ -190,12 +189,20 @@ class TestMultisetRemove:
                     pending[record.tobytes()] -= 1
                     keep[i] = False
             expected = haystack[keep] if not any(pending.values()) else None
+            store = TupleStore(schema)
+            for lo in range(0, len(haystack), chunk_rows):
+                store.append(haystack[lo : lo + chunk_rows].copy())
             if expected is None:
                 with pytest.raises(StorageError):
                     multiset_remove(haystack, needles)
+                with pytest.raises(StorageError):
+                    store.remove(needles)
+                assert store.read_all().tobytes() == haystack.tobytes()
             else:
                 got = multiset_remove(haystack, needles)
                 assert got.tobytes() == expected.tobytes()
+                store.remove(needles)
+                assert store.read_all().tobytes() == expected.tobytes()
 
 
 class TestEffectiveStats:
