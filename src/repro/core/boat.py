@@ -175,22 +175,25 @@ class BuildHarness:
 
     def finalize(
         self,
-        call: Callable[[], tuple[DecisionTree, FinalizeReport]],
+        call: Callable[[bool], tuple[DecisionTree, FinalizeReport]],
         pool: WorkerPool | None = None,
     ) -> DecisionTree:
-        """Run ``call`` — the driver's :func:`finalize_tree` call over its
-        fully counted skeleton — as the timed ``finalize`` phase.
+        """Run ``call(timed)`` — the driver's :func:`finalize_tree` call
+        over its fully counted skeleton — as the timed ``finalize`` phase.
 
+        ``timed`` is true under a tracer; the span then also carries the
+        finalize layer timings (:data:`~repro.core.finalize.LAYERS`).
         ``pool`` is recorded as the report's worker pool.
         """
         self.start()
         with self.tracer.span("finalize") as finalize_span:
-            tree, finalize_report = call()
+            tree, finalize_report = call(self.tracer.enabled)
             finalize_span.set(
                 confirmed_splits=finalize_report.confirmed_splits,
                 frontier_completions=finalize_report.frontier_completions,
                 rebuilds=finalize_report.rebuilds,
                 tree_nodes=tree.n_nodes,
+                **finalize_report.layer_seconds,
             )
         self.report.finalize = finalize_report
         self.stop("finalize")
@@ -332,7 +335,9 @@ def boat_build(
                 checkpoint.close_unit()
 
             tree = run.finalize(
-                lambda: finalize_tree(root, table.schema, method, split_config),
+                lambda timed: finalize_tree(
+                    root, table.schema, method, split_config, timed=timed
+                ),
                 pool,
             )
     return BoatResult(tree=tree, report=run.done(checkpoint))

@@ -40,12 +40,21 @@ Two operating modes:
   per-node cache (so update cost tracks the *change*, not the database
   size), and rebuilds construct a fresh, fully populated skeleton subtree
   from the subtree's own stores so future updates keep working.
+
+The cache is keyed by versions, not contents.  A node's inherited tuples
+are a function of its ancestors' held stores and final splits, so the key
+of a child is its parent's key plus (the parent's held-store version, the
+parent's final split, the side); the root's key is ``()``.  Store
+versions are drawn from one process-wide counter
+(:attr:`~repro.storage.TupleStore.version`), so equal keys mean equal
+inherited tuples.  Static passes compute no key.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -61,7 +70,7 @@ from ..storage import CLASS_COLUMN, Schema
 from ..tree import DecisionTree, Node, build_reference_tree
 from .bounds import admissible_bucket_mask, bucket_lower_bounds
 from .coarse import CoarseCategorical, CoarseNumeric
-from .discretize import interval_bucket_range, point_bucket_mask
+from .discretize import interval_bucket_range
 from .state import (
     BoatMethod,
     BoatNode,
@@ -69,6 +78,33 @@ from .state import (
     collect_family,
     effective_stats,
 )
+
+#: The finalize layers a timed pass charges, as ``finalize`` span
+#: attributes: seconds in effective statistics, the exact in-criterion
+#: search, the §3.4 check, the partition of held tuples for the children,
+#: and in-memory frontier completions.  They never nest, so they sum to
+#: at most the pass's wall time.
+LAYERS = ("effective_stats_s", "exact_best_s", "verify_s", "partition_s", "frontier_s")
+
+#: The disabled layer timer: one shared no-op context, no clock read.
+_UNTIMED = contextlib.nullcontext()
+
+
+class _Stopwatch:
+    """Adds the wall time of one ``with`` block to ``seconds[name]``."""
+
+    __slots__ = ("_seconds", "_name", "_start")
+
+    def __init__(self, seconds: dict[str, float], name: str):
+        self._seconds = seconds
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc) -> bool:
+        self._seconds[self._name] += time.perf_counter() - self._start
+        return False
 
 #: Static rebuild strategy: collected family + depth -> finished subtree.
 RebuildFn = Callable[[np.ndarray, int], Node]
@@ -93,6 +129,9 @@ class FinalizeReport:
     rebuilt_tuples: int = 0
     rebuild_reasons: list[str] = field(default_factory=list)
     held_candidates: int = 0
+    #: Seconds per finalize layer (:data:`LAYERS`); empty unless the pass
+    #: was timed.
+    layer_seconds: dict[str, float] = field(default_factory=dict)
 
 
 class Finalizer:
@@ -107,6 +146,7 @@ class Finalizer:
         keep_state: bool = False,
         skeleton_rebuild: SkeletonRebuildFn | None = None,
         id_counter: Iterator[int] | None = None,
+        timed: bool = False,
     ):
         self._schema = schema
         self._method = method
@@ -123,43 +163,56 @@ class Finalizer:
         self._ids = id_counter if id_counter is not None else itertools.count()
         self._fresh_nodes: set[int] = set()
         self.report = FinalizeReport()
+        self._timed = timed
+        if timed:
+            self.report.layer_seconds = dict.fromkeys(LAYERS, 0.0)
         #: Set when the skeleton root itself was replaced by a rebuild.
         self.new_root: BoatNode | None = None
 
     # -- public entry -------------------------------------------------------
 
     def run(self, root: BoatNode) -> DecisionTree:
-        final_root = self._finalize(root, self._schema.empty(0), is_root=True)
+        key = () if self._keep_state else None
+        final_root = self._finalize(root, self._schema.empty(0), key, is_root=True)
         tree = DecisionTree(self._schema, final_root)
         return tree
 
     # -- recursion ------------------------------------------------------------
 
     def _finalize(
-        self, node: BoatNode, inherited: np.ndarray, is_root: bool = False
+        self,
+        node: BoatNode,
+        inherited: np.ndarray,
+        key: tuple | None,
+        is_root: bool = False,
     ) -> Node:
-        cache_key = self._cache_key(inherited)
-        if (
-            self._keep_state
-            and not node.dirty
-            and node.cached_final is not None
-            and node.cached_key == cache_key
-        ):
+        """``key`` names ``inherited`` (None in a static pass)."""
+        if not self._keep_state:
+            return self._compute(node, inherited, key, is_root)
+        if not node.dirty and node.cached_final is not None and node.cached_key == key:
             self.report.cache_hits += 1
             return self._clone_subtree(node.cached_final)
-        final = self._compute(node, inherited, is_root)
-        if self._keep_state:
-            node.cached_final = final
-            node.cached_key = cache_key
-            node.dirty = False
-            return self._clone_subtree(final)
-        return final
+        final = self._compute(node, inherited, key, is_root)
+        node.cached_final = final
+        node.cached_key = key
+        node.dirty = False
+        return self._clone_subtree(final)
 
-    def _compute(self, node: BoatNode, inherited: np.ndarray, is_root: bool) -> Node:
-        stats = effective_stats(node, inherited, self._schema, self._kernels)
+    def _layer(self, name: str):
+        """A context charging its block to layer ``name`` when timed."""
+        if self._timed:
+            return _Stopwatch(self.report.layer_seconds, name)
+        return _UNTIMED
+
+    def _compute(
+        self, node: BoatNode, inherited: np.ndarray, key: tuple | None, is_root: bool
+    ) -> Node:
+        with self._layer("effective_stats_s"):
+            stats = effective_stats(node, inherited, self._schema, self._kernels)
         counts = np.asarray(stats.class_counts, dtype=np.int64)
         if node.is_frontier:
-            return self._complete_frontier(node, inherited, counts)
+            with self._layer("frontier_s"):
+                return self._complete_frontier(node, inherited, counts)
         # Absolute leaf conditions — identical to the reference builder's.
         max_depth = self._config.max_depth
         if (
@@ -169,11 +222,14 @@ class Finalizer:
         ):
             return self._confirmed_leaf(node, counts)
         decided = self._decide(node, stats, counts)
+        if not self._keep_state:
+            node.forget_bucket_layout()  # a static pass never comes back
         if isinstance(decided, str):
-            return self._rebuild_subtree(node, inherited, decided, is_root)
+            return self._rebuild_subtree(node, inherited, key, decided, is_root)
         if decided is None:
             return self._confirmed_leaf(node, counts)
-        left_in, right_in = self._partition_for_children(node, stats, decided)
+        with self._layer("partition_s"):
+            left_in, right_in = self._partition_for_children(node, stats, decided)
         left_node, right_node = node.children()
         if self._quest:
             # QUEST's decision ignores side sizes; the reference builder
@@ -184,14 +240,24 @@ class Finalizer:
             )
             if smallest < self._config.min_samples_leaf:
                 return self._rebuild_subtree(
-                    node, inherited, "QUEST split violates min_samples_leaf", is_root
+                    node,
+                    inherited,
+                    key,
+                    "QUEST split violates min_samples_leaf",
+                    is_root,
                 )
         self.report.confirmed_splits += 1
         final = self._leaf(node.depth, counts)
+        if key is None:
+            left_key = right_key = None
+        else:
+            held = None if node.held is None else node.held.version
+            left_key = key + ((held, decided, 0),)
+            right_key = key + ((held, decided, 1),)
         final.make_internal(
             decided,
-            self._finalize(left_node, left_in),
-            self._finalize(right_node, right_in),
+            self._finalize(left_node, left_in, left_key),
+            self._finalize(right_node, right_in, right_key),
         )
         return final
 
@@ -199,11 +265,13 @@ class Finalizer:
         self, node: BoatNode, stats: EffectiveStats, counts: np.ndarray
     ) -> NumericSplit | CategoricalSplit | str | None:
         """The verified exact split, None for a leaf, or a refutation reason."""
-        outcome = self._exact_best(node, stats, counts)
+        with self._layer("exact_best_s"):
+            outcome = self._exact_best(node, stats, counts)
         if outcome is None:
             return "categorical coarse subset refuted"
         final_split, threshold, is_leaf_decision = outcome
-        failure = self._verify(node, stats, counts, threshold, is_leaf_decision)
+        with self._layer("verify_s"):
+            failure = self._verify(node, stats, counts, threshold, is_leaf_decision)
         if failure is not None:
             return failure
         return None if is_leaf_decision else final_split
@@ -229,7 +297,8 @@ class Finalizer:
                 if attr.is_categorical
             ],
         )
-        decision = self._method.decide_from_stats(quest_stats, self._config)
+        with self._layer("exact_best_s"):
+            decision = self._method.decide_from_stats(quest_stats, self._config)
         if decision is None:
             return "exact QUEST decision is a leaf, coarse criterion splits"
         split = decision.split
@@ -248,13 +317,6 @@ class Finalizer:
         return split
 
     # -- pieces ------------------------------------------------------------------
-
-    def _cache_key(self, inherited: np.ndarray) -> bytes:
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(len(inherited).to_bytes(8, "little"))
-        if len(inherited):
-            digest.update(np.ascontiguousarray(inherited).tobytes())
-        return digest.digest()
 
     def _leaf(self, depth: int, counts: np.ndarray) -> Node:
         return Node(next(self._ids), depth, counts)
@@ -314,7 +376,12 @@ class Finalizer:
         return clone
 
     def _rebuild_subtree(
-        self, node: BoatNode, inherited: np.ndarray, reason: str, is_root: bool
+        self,
+        node: BoatNode,
+        inherited: np.ndarray,
+        key: tuple | None,
+        reason: str,
+        is_root: bool,
     ) -> Node:
         self.report.rebuilds += 1
         self.report.rebuild_reasons.append(
@@ -334,7 +401,8 @@ class Finalizer:
             fresh = self._skeleton_rebuild(own_family, node.depth, force_frontier)
             self._fresh_nodes.update(sub.node_id for sub in fresh.nodes())
             self._swap_skeleton(node, fresh, is_root)
-            return self._finalize(fresh, inherited)
+            # The fresh subtree fills the same slot: same inherited tuples.
+            return self._finalize(fresh, inherited, key)
         family = collect_family(node, inherited, self._schema)
         self.report.rebuilt_tuples += len(family)
         node.release()
@@ -415,82 +483,134 @@ class Finalizer:
         builder's tie-break order refutes the criterion already on exact
         equality; a later one only when strictly better.  A pending leaf
         is refuted by any strict improvement anywhere.
+
+        Every numeric attribute is checked in one stacked bound
+        (:meth:`_numeric_failure`); categorical attributes are searched
+        one by one, in schema order, up to the first failing numeric
+        attribute.  The reason is the first failing attribute's.
         """
-        criterion = node.criterion
-        coarse_index = criterion.attribute_index
-        for index, attr in enumerate(self._schema.attributes):
-            if attr.is_categorical:
-                if index == coarse_index:
-                    continue  # evaluated exactly in _exact_best
-                found = best_categorical_split_from_counts(
-                    stats.cat_counts[index],
-                    self._impurity,
-                    self._config.min_samples_leaf,
-                    self._config.max_categorical_exhaustive,
-                    kernels=self._kernels,
-                )
-                if found is None:
-                    continue
-                if self._beats(
-                    found[0], index, coarse_index, threshold, is_leaf_decision
-                ):
-                    return (
-                        f"categorical attribute {attr.name} reaches impurity "
-                        f"{found[0]:.6g} vs threshold {threshold:.6g}"
-                    )
-                continue
-            edges = node.bucket_edges.get(index)
-            if edges is None:  # pragma: no cover - every numeric attr has edges
-                continue
-            bucket_counts = stats.bucket_counts[index]
-            bounds = bucket_lower_bounds(bucket_counts, counts, self._impurity)
-            point = point_bucket_mask(edges)
-            if point.any():
-                # A point bucket's single possible candidate is its upper
-                # edge; its stamp point is exact, so evaluate it exactly
-                # instead of corner-bounding.
-                cum = np.cumsum(bucket_counts, axis=0)
-                bounds = bounds.copy()
-                bounds[point] = self._impurity.weighted(cum[point], counts)
-            admissible = admissible_bucket_mask(
-                bucket_counts, self._config.min_samples_leaf
+        coarse_index = node.criterion.attribute_index
+        numeric = self._numeric_failure(
+            node, stats, counts, threshold, is_leaf_decision
+        )
+        limit = len(self._schema.attributes) if numeric is None else numeric[0]
+        for index in range(limit):
+            attr = self._schema[index]
+            if not attr.is_categorical or index == coarse_index:
+                continue  # the coarse attribute is evaluated exactly in _exact_best
+            found = best_categorical_split_from_counts(
+                stats.cat_counts[index],
+                self._impurity,
+                self._config.min_samples_leaf,
+                self._config.max_categorical_exhaustive,
+                kernels=self._kernels,
             )
-            if index == coarse_index and isinstance(criterion, CoarseNumeric):
-                first, last = interval_bucket_range(
-                    edges, criterion.low, criterion.high
-                )
-                below = admissible.copy()
-                below[first:] = False
-                above = admissible.copy()
-                above[:last] = False
-                if is_leaf_decision:
-                    if np.any((below | above) & (bounds < threshold)):
-                        return (
-                            f"split attribute {attr.name}: leaf decision but a "
-                            f"bucket bound < node impurity {threshold:.6g}"
-                        )
-                else:
-                    # Below-interval values precede the chosen split value,
-                    # so they win exact ties; above-interval values lose them.
-                    if np.any(below & (bounds <= threshold)):
-                        return (
-                            f"split attribute {attr.name}: bucket below the "
-                            f"confidence interval bounds <= {threshold:.6g}"
-                        )
-                    if np.any(above & (bounds < threshold)):
-                        return (
-                            f"split attribute {attr.name}: bucket above the "
-                            f"confidence interval bounds < {threshold:.6g}"
-                        )
-                continue
-            beaten = self._beats_mask(
-                bounds, index, coarse_index, threshold, is_leaf_decision
-            )
-            if np.any(admissible & beaten):
+            if found is not None and self._beats(
+                found[0], index, coarse_index, threshold, is_leaf_decision
+            ):
                 return (
-                    f"numerical attribute {attr.name}: a bucket lower bound "
-                    f"undercuts threshold {threshold:.6g}"
+                    f"categorical attribute {attr.name} reaches impurity "
+                    f"{found[0]:.6g} vs threshold {threshold:.6g}"
                 )
+        return None if numeric is None else numeric[1]
+
+    def _numeric_failure(
+        self,
+        node: BoatNode,
+        stats: EffectiveStats,
+        counts: np.ndarray,
+        threshold: float,
+        is_leaf_decision: bool,
+    ) -> tuple[int, str] | None:
+        """The first numeric attribute whose buckets refute the decision.
+
+        All numeric attributes' bucket counts are stacked in the node's
+        :class:`~repro.core.state.BucketLayout` and bounded in one
+        :func:`bucket_lower_bounds` call (point buckets exactly); the tie
+        rules are per-row masks.  Returns ``(attribute index, reason)``.
+        """
+        layout = node.bucket_layout
+        if not layout.indices:
+            return None
+        stacked = np.concatenate([stats.bucket_counts[i] for i in layout.indices])
+        bounds = bucket_lower_bounds(
+            stacked, counts, self._impurity, layout.starts, layout.point
+        )
+        admissible = admissible_bucket_mask(
+            stacked, self._config.min_samples_leaf, layout.starts
+        )
+        criterion = node.criterion
+        if is_leaf_decision:
+            beaten = bounds < threshold
+        else:
+            # Attributes before the coarse one win exact ties against it.
+            beaten = np.where(
+                layout.attribute_of_row < criterion.attribute_index,
+                bounds <= threshold,
+                bounds < threshold,
+            )
+        failing = admissible & beaten
+        coarse = None
+        if isinstance(criterion, CoarseNumeric):
+            index = criterion.attribute_index
+            lo = int(layout.starts[layout.indices.index(index)])
+            hi = lo + len(node.bucket_edges[index]) + 1
+            failing[lo:hi] = False
+            reason = self._coarse_failure(
+                criterion,
+                node.bucket_edges[index],
+                bounds[lo:hi],
+                admissible[lo:hi],
+                threshold,
+                is_leaf_decision,
+            )
+            if reason is not None:
+                coarse = (index, reason)
+        segments = np.logical_or.reduceat(failing, layout.starts)
+        if segments.any():
+            index = layout.indices[int(np.argmax(segments))]
+            if coarse is None or index < coarse[0]:
+                return index, (
+                    f"numerical attribute {self._schema[index].name}: a bucket "
+                    f"lower bound undercuts threshold {threshold:.6g}"
+                )
+        return coarse
+
+    def _coarse_failure(
+        self,
+        criterion: CoarseNumeric,
+        edges: np.ndarray,
+        bounds: np.ndarray,
+        admissible: np.ndarray,
+        threshold: float,
+        is_leaf_decision: bool,
+    ) -> str | None:
+        """The check outside the coarse attribute's confidence interval."""
+        name = self._schema[criterion.attribute_index].name
+        first, last = interval_bucket_range(edges, criterion.low, criterion.high)
+        below = admissible.copy()
+        below[first:] = False
+        above = admissible.copy()
+        above[:last] = False
+        if is_leaf_decision:
+            if np.any((below | above) & (bounds < threshold)):
+                return (
+                    f"split attribute {name}: leaf decision but a "
+                    f"bucket bound < node impurity {threshold:.6g}"
+                )
+            return None
+        # Below-interval values precede the chosen split value, so they
+        # win exact ties; above-interval values lose them.
+        if np.any(below & (bounds <= threshold)):
+            return (
+                f"split attribute {name}: bucket below the "
+                f"confidence interval bounds <= {threshold:.6g}"
+            )
+        if np.any(above & (bounds < threshold)):
+            return (
+                f"split attribute {name}: bucket above the "
+                f"confidence interval bounds < {threshold:.6g}"
+            )
         return None
 
     def _beats(
@@ -506,18 +626,6 @@ class Finalizer:
         if index < coarse_index:
             return value <= threshold
         return value < threshold
-
-    def _beats_mask(
-        self,
-        bounds: np.ndarray,
-        index: int,
-        coarse_index: int,
-        threshold: float,
-        is_leaf_decision: bool,
-    ) -> np.ndarray:
-        if is_leaf_decision or index > coarse_index:
-            return bounds < threshold
-        return bounds <= threshold
 
     def _partition_for_children(
         self,
@@ -578,14 +686,15 @@ def finalize_tree(
     method: BoatMethod,
     config: SplitConfig,
     rebuild: RebuildFn | None = None,
+    timed: bool = False,
 ) -> tuple[DecisionTree, FinalizeReport]:
     """Run one static finalization pass over a populated skeleton.
 
     ``method`` is the split selection the skeleton was sampled with
     (impurity-based or QUEST); ``rebuild`` defaults to the in-memory
-    reference builder.
+    reference builder.  ``timed`` fills ``report.layer_seconds``.
     """
-    finalizer = Finalizer(schema, method, config, rebuild)
+    finalizer = Finalizer(schema, method, config, rebuild, timed=timed)
     tree = finalizer.run(root)
     tree.validate()
     return tree, finalizer.report

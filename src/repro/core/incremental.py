@@ -282,6 +282,7 @@ class IncrementalBoat:
             keep_state=True,
             skeleton_rebuild=self._grow_skeleton,
             id_counter=self._ids,
+            timed=self.tracer.enabled,
         )
         with self.tracer.span("finalize") as span:
             self._tree = finalizer.run(self._skeleton)
@@ -290,6 +291,8 @@ class IncrementalBoat:
                 confirmed_splits=finalizer.report.confirmed_splits,
                 frontier_completions=finalizer.report.frontier_completions,
                 rebuilds=finalizer.report.rebuilds,
+                cache_hits=finalizer.report.cache_hits,
+                **finalizer.report.layer_seconds,
             )
         if finalizer.new_root is not None:
             self._skeleton = finalizer.new_root

@@ -32,11 +32,13 @@ import numpy as np
 from ..config import BoatConfig
 from ..exceptions import SplitSelectionError, StorageError
 from ..kernels import DEFAULT_KERNELS, KernelBackend
+from ..kernels.grid import GridBucketizer
 from ..storage import CLASS_COLUMN, IOStats, Schema, TupleStore
 from ..storage.spill import StoreRemoval, earliest_matches
 from ..splits.methods import ImpuritySplitSelection
 from ..splits.quest import QuestSplitSelection
 from .coarse import CoarseCategorical, CoarseCriterion, CoarseNumeric
+from .discretize import point_bucket_mask
 from .terminals import NodeDelta, compile_skeleton, numeric_moments
 
 
@@ -70,6 +72,50 @@ def reject_float_moments(method: BoatMethod, where: str) -> None:
         )
 
 
+class BucketLayout:
+    """A node's numeric discretizations stacked attribute after attribute.
+
+    Bucket edges never change once a node is built, so this is computed
+    once per node (:attr:`BoatNode.bucket_layout`).  ``indices`` are the
+    attributes with edges, in schema order; attribute ``indices[s]`` owns
+    rows ``starts[s]`` up to the next start of a stacked
+    ``(sum(m_a + 1), k)`` bucket-count array.  ``attribute_of_row`` and
+    ``point`` (its point buckets, :func:`point_bucket_mask`) are per
+    stacked row.  :meth:`bucketizer` compiles each attribute's exact
+    bucketizer on first use and keeps it.
+    """
+
+    __slots__ = (
+        "edges",
+        "indices",
+        "starts",
+        "attribute_of_row",
+        "point",
+        "_bucketizers",
+    )
+
+    def __init__(self, bucket_edges: dict[int, np.ndarray]):
+        self.edges = bucket_edges
+        self.indices = sorted(bucket_edges)
+        sizes = [len(bucket_edges[i]) + 1 for i in self.indices]
+        self.starts = np.cumsum([0] + sizes)[:-1].astype(np.intp)
+        self.attribute_of_row = np.repeat(
+            np.asarray(self.indices, dtype=np.intp), sizes
+        )
+        self.point = (
+            np.concatenate([point_bucket_mask(bucket_edges[i]) for i in self.indices])
+            if self.indices
+            else np.zeros(0, dtype=bool)
+        )
+        self._bucketizers: dict[int, GridBucketizer] = {}
+
+    def bucketizer(self, index: int) -> GridBucketizer:
+        bucketize = self._bucketizers.get(index)
+        if bucketize is None:
+            bucketize = self._bucketizers[index] = GridBucketizer(self.edges[index])
+        return bucketize
+
+
 class BoatNode:
     """One node of the BOAT skeleton with its accumulated statistics."""
 
@@ -94,6 +140,7 @@ class BoatNode:
         "cached_final",
         "cached_key",
         "deepen_watermark",
+        "_bucket_layout",
     )
 
     def __init__(
@@ -117,10 +164,11 @@ class BoatNode:
         self.right: BoatNode | None = None
         self.parent: BoatNode | None = None
         #: Finalization cache (incremental mode): the last final subtree
-        #: computed for this skeleton node and the digest of the inherited
-        #: tuples it was computed under.
+        #: computed for this skeleton node and the key of the inherited
+        #: tuples it was computed under (ancestor held-store versions,
+        #: final splits and sides; see ``core/finalize.py``).
         self.cached_final = None
-        self.cached_key: bytes | None = None
+        self.cached_key: tuple | None = None
         #: Frontier-deepening backoff: skip re-attempting a mini-BOAT
         #: conversion until the family outgrows this size.
         self.deepen_watermark = 0
@@ -138,6 +186,7 @@ class BoatNode:
                 if a.is_categorical
             }
         self.bucket_edges = bucket_edges
+        self._bucket_layout: BucketLayout | None = None
         self.bucket_counts = {
             i: np.zeros((len(edges) + 1, k), dtype=np.int64)
             for i, edges in bucket_edges.items()
@@ -170,6 +219,18 @@ class BoatNode:
     @property
     def is_frontier(self) -> bool:
         return self.criterion is None
+
+    @property
+    def bucket_layout(self) -> BucketLayout:
+        """The node's stacked bucket layout, built on first use."""
+        layout = self._bucket_layout
+        if layout is None:
+            layout = self._bucket_layout = BucketLayout(self.bucket_edges)
+        return layout
+
+    def forget_bucket_layout(self) -> None:
+        """Drop the cached layout; a node no pass will revisit frees it now."""
+        self._bucket_layout = None
 
     @property
     def n_tuples(self) -> int:
@@ -362,7 +423,8 @@ def effective_stats(
     """Combine persistent statistics with re-routed ancestor-held tuples.
 
     The inherited tuples are counted with the scan's kernel primitives:
-    ``bucket_class_counts`` buckets them with the same exact bucketizer.
+    ``bucket_class_counts`` buckets them with the same exact bucketizer,
+    compiled once per node (:meth:`BucketLayout.bucketizer`).
     """
     k = schema.n_classes
     empty = inherited[:0]
@@ -400,10 +462,11 @@ def effective_stats(
             )
             for index, matrix in node.cat_counts.items()
         }
+        layout = node.bucket_layout
         bucket_counts = {
             index: counts
             + kernels.bucket_class_counts(
-                node.bucket_edges[index], inherited[schema[index].name], labels, k
+                layout.bucketizer(index), inherited[schema[index].name], labels, k
             )
             for index, counts in node.bucket_counts.items()
         }

@@ -20,7 +20,13 @@ import json
 import os
 from typing import IO, Iterator
 
-from .tracer import COUNTER_FIELDS, TRACE_SCHEMA_VERSION, Span, TraceReport
+from .tracer import (
+    COUNTER_FIELDS,
+    TRACE_SCHEMA_VERSION,
+    Span,
+    TraceReport,
+    is_timing_attribute,
+)
 
 
 def trace_lines(report: TraceReport) -> Iterator[dict]:
@@ -104,10 +110,12 @@ def format_trace(report: TraceReport, include_timing: bool = True) -> str:
             parts.append(f"written={span.tuples_written}t/{span.bytes_written}B")
         if span.spill_files:
             parts.append(f"spills={span.spill_files}")
-        if span.attributes:
-            attrs = " ".join(
-                f"{k}={v}" for k, v in sorted(span.attributes.items())
-            )
+        attrs = " ".join(
+            f"{k}={v}"
+            for k, v in sorted(span.attributes.items())
+            if include_timing or not is_timing_attribute(k)
+        )
+        if attrs:
             parts.append(attrs)
         lines.append(" ".join(parts))
         for child in span.children:

@@ -20,7 +20,8 @@ Design constraints, in order:
   and attributes are pure functions of the work performed, so tests can
   golden-compare every structural field
   (:meth:`Span.to_dict(include_timing=False) <Span.to_dict>`); only
-  wall-clock fields vary between runs.
+  wall-clock fields vary between runs: ``wall_seconds`` and the layer
+  timers, attributes named ``*_s``.
 * **Worker merge mirrors** :meth:`IOStats.merge`.  Parallel phases give
   each worker a detached span (:meth:`Tracer.worker_span`), accumulate
   private counters into it, and attach the spans under the parent phase
@@ -51,6 +52,12 @@ COUNTER_FIELDS = (
 
 #: Schema version stamped on every exported span line.
 TRACE_SCHEMA_VERSION = 1
+
+
+def is_timing_attribute(name: str) -> bool:
+    """Attributes named ``*_s`` hold wall-clock seconds (layer timers),
+    which vary between otherwise identical runs."""
+    return name.endswith("_s")
 
 
 class Span:
@@ -185,13 +192,18 @@ class Span:
 
     def to_dict(self, include_timing: bool = True) -> dict:
         """Nested dict form.  ``include_timing=False`` drops every field
-        that varies between otherwise identical runs, leaving only the
+        that varies between otherwise identical runs (wall time and timing
+        attributes, :func:`is_timing_attribute`), leaving only the
         golden-comparable structure."""
         out: dict[str, Any] = {"name": self.name, "status": self.status}
         if include_timing:
             out["wall_seconds"] = self.wall_seconds
         out.update(self.counters)
-        out["attributes"] = dict(sorted(self.attributes.items()))
+        out["attributes"] = {
+            key: value
+            for key, value in sorted(self.attributes.items())
+            if include_timing or not is_timing_attribute(key)
+        }
         out["children"] = [c.to_dict(include_timing) for c in self.children]
         return out
 

@@ -138,6 +138,9 @@ def resume_build(
             # zero rows to re-read.
             manager.close_unit()
             tree = run.finalize(
-                lambda: finalize_tree(root, schema, method, split_config), pool
+                lambda timed: finalize_tree(
+                    root, schema, method, split_config, timed=timed
+                ),
+                pool,
             )
     return BoatResult(tree=tree, report=run.done(manager))

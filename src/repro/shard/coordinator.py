@@ -341,7 +341,10 @@ def sharded_boat_build(
 
             # -- finalization (unchanged, exact) -----------------------------
             tree = run.finalize(
-                lambda: finalize_tree(root, schema, method, split_config), pool
+                lambda timed: finalize_tree(
+                    root, schema, method, split_config, timed=timed
+                ),
+                pool,
             )
     # Only a fully-successful build consumes its checkpoint; a build that
     # failed (even after retries) stays resumable.
@@ -465,7 +468,7 @@ def resume_sharded_build(
 
         # -- finalization (unchanged, exact) --------------------------------
         tree = run.finalize(
-            lambda: finalize_tree(root, schema, method, split_config)
+            lambda timed: finalize_tree(root, schema, method, split_config, timed=timed)
         )
     return ShardedBoatResult(tree, run.done(manager), session.report)
 

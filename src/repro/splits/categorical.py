@@ -16,6 +16,8 @@ with the reference builder.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..kernels import DEFAULT_KERNELS, KernelBackend
@@ -32,6 +34,7 @@ def category_class_counts(
     return counts.reshape(domain_size, n_classes)
 
 
+@functools.lru_cache(maxsize=None)
 def exhaustive_selectors(p: int) -> np.ndarray:
     """Membership matrix of all proper subsets containing category rank 0.
 
@@ -40,12 +43,17 @@ def exhaustive_selectors(p: int) -> np.ndarray:
     Rows are in ascending mask order — the deterministic tie-break order.
     The first ``2^(q-1) - 1`` rows, restricted to the first ``q`` columns,
     are exactly ``exhaustive_selectors(q)`` for any ``q <= p``.
+
+    Built once per ``p`` and shared, so the table is read-only.  Callers
+    pass ``p`` of at most ``max_categorical_exhaustive``, which bounds the
+    cache.
     """
     m = 1 << (p - 1)
     selectors = np.zeros((m - 1, p), dtype=bool)
     selectors[:, 0] = True
     masks = np.arange(m - 1)
     selectors[:, 1:] = (masks[:, np.newaxis] >> np.arange(p - 1)) & 1
+    selectors.flags.writeable = False
     return selectors
 
 

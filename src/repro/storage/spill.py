@@ -22,6 +22,7 @@ and the store's chunk count cost, not a copy of the store.
 from __future__ import annotations
 
 import io as _io
+import itertools
 import os
 import tempfile
 from typing import Iterable, Iterator
@@ -34,6 +35,10 @@ from .schema import Schema
 
 #: Rows a remove from a spilled store reads (and rewrites) at a time.
 SPILL_SCAN_ROWS = 4096
+
+#: One process-wide source of store versions: a version names one state of
+#: one store, never repeated by another store or a later state.
+_VERSIONS = itertools.count(1)
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _FINAL_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -293,7 +298,7 @@ class TupleStore:
 
     The store preserves append order.  ``read_all`` always returns the full
     contents; ``remove`` deletes one stored row per needle (incremental
-    deletion) and ``replace`` substitutes the contents.
+    deletion) and ``clear`` drops everything.
 
     In memory the store is a list of append-order chunks, each with an
     optional mask of removed ("dead") rows.  Row fingerprints
@@ -324,9 +329,10 @@ class TupleStore:
         self._fingerprints: list[np.ndarray] | None = None
         self._mem_rows = 0  # live rows in memory
         self._spill: SpillFile | None = None
-        #: Bumped by every change of contents or chunk layout, so a
-        #: located removal can tell that its row indices went stale.
-        self._version = 0
+        #: Redrawn by every change of contents or chunk layout, so a
+        #: located removal can tell that its row indices went stale, and
+        #: a finalize cache can key on the store's contents.
+        self._version = next(_VERSIONS)
 
     @property
     def schema(self) -> Schema:
@@ -335,6 +341,15 @@ class TupleStore:
     @property
     def spilled(self) -> bool:
         return self._spill is not None
+
+    @property
+    def version(self) -> int:
+        """A process-wide unique name of the store's current state.
+
+        Equal versions mean the same store with the same rows in the same
+        order; any append, remove, clear or re-chunking draws a new one.
+        """
+        return self._version
 
     def __len__(self) -> int:
         spilled = 0 if self._spill is None else len(self._spill)
@@ -347,7 +362,7 @@ class TupleStore:
             return
         if self._spill is None and self._mem_rows + len(batch) > self._budget:
             self._spill_out()
-        self._version += 1
+        self._version = next(_VERSIONS)
         if self._spill is not None:
             self._spill.append(batch)
         else:
@@ -363,7 +378,7 @@ class TupleStore:
             yield chunk if dead is None else chunk[~dead]
 
     def _set_chunks(self, chunks: list[np.ndarray]) -> None:
-        self._version += 1
+        self._version = next(_VERSIONS)
         self._chunks = chunks
         self._dead = [None] * len(chunks)
         self._fingerprints = None
@@ -445,7 +460,7 @@ class TupleStore:
 
     def _remove_in_memory(self, hits: list[np.ndarray]) -> None:
         """Mark rows dead; drop all-dead chunks, compact mostly-dead ones."""
-        self._version += 1
+        self._version = next(_VERSIONS)
         chunks, dead_masks, fingerprints = [], [], []
         for i, (chunk, dead, prints) in enumerate(
             zip(self._chunks, self._dead, self._fingerprints)
@@ -494,18 +509,6 @@ class TupleStore:
         self._spill.delete()
         self._spill = fresh
         self._set_chunks(kept)
-
-    def replace(self, batch: np.ndarray) -> None:
-        """Substitute the store's entire contents with ``batch``.
-
-        The memory budget applies exactly as it does to :meth:`append`: a
-        replacement larger than the budget goes to a spill file even when
-        the store previously fit in memory.
-        """
-        if batch.dtype != self._schema.dtype():
-            raise StorageError("TupleStore replace with mismatched dtype")
-        self.clear()
-        self.append(batch)
 
     def clear(self) -> None:
         """Drop all contents and delete the spill file."""

@@ -142,3 +142,14 @@ class TestBestCategoricalSplit:
         else:
             assert fast is not None
             assert fast[0] == pytest.approx(slow[0], abs=1e-12)
+
+
+class TestExhaustiveSelectors:
+    def test_tables_are_cached_and_read_only(self):
+        from repro.splits.categorical import exhaustive_selectors
+
+        table = exhaustive_selectors(4)
+        assert exhaustive_selectors(4) is table
+        assert table.shape == (7, 4)
+        with pytest.raises(ValueError):
+            table[0, 1] = True

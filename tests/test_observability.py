@@ -332,3 +332,67 @@ class TestBuildIntegration:
             ),
         )
         assert tree_to_json(plain.tree) == tree_to_json(traced.tree)
+
+
+class TestFinalizeLayers:
+    """The ``finalize`` span's layer timers (``core/finalize.py:LAYERS``)."""
+
+    def _maintainer(self, small_schema, tracer):
+        from repro.config import SplitConfig
+        from repro.core import IncrementalBoat
+        from repro.splits import ImpuritySplitSelection
+
+        data = simple_xy_data(small_schema, 4000, seed=5, rule="xy")
+        return IncrementalBoat.build(
+            MemoryTable(small_schema, data),
+            ImpuritySplitSelection("gini"),
+            SplitConfig(min_samples_split=40, min_samples_leaf=10),
+            BoatConfig(sample_size=800, bootstrap_repetitions=4, seed=2),
+            tracer=tracer,
+        )
+
+    def test_traced_update_layers_sum_within_the_span(self, small_schema):
+        from repro.core.finalize import LAYERS
+
+        tracer = Tracer()
+        inc = self._maintainer(small_schema, tracer)
+        inc.insert(simple_xy_data(small_schema, 300, seed=50, rule="xy"))
+        update = [s for s in tracer.report().spans() if s.name == "incremental"][-1]
+        finalize = update.find("finalize")
+        layers = {key: finalize.attributes[key] for key in LAYERS}
+        assert all(seconds >= 0.0 for seconds in layers.values())
+        assert sum(layers.values()) <= finalize.wall_seconds
+        assert sum(layers.values()) > 0.0
+        # Timers vary run to run, so the timing-free structure drops them.
+        assert not set(LAYERS) & set(finalize.to_dict(False)["attributes"])
+        assert set(LAYERS) <= set(finalize.to_dict()["attributes"])
+
+    def test_untraced_update_reads_no_clock(self, small_schema, monkeypatch):
+        import types
+
+        import repro.core.finalize as finalize_module
+
+        inc = self._maintainer(small_schema, None)
+
+        def no_clock():
+            raise AssertionError("an untraced finalize read the clock")
+
+        monkeypatch.setattr(
+            finalize_module, "time", types.SimpleNamespace(perf_counter=no_clock)
+        )
+        report = inc.insert(simple_xy_data(small_schema, 300, seed=51, rule="xy"))
+        assert report.finalize.layer_seconds == {}
+
+    def test_build_finalize_span_carries_layers(
+        self, small_schema, gini_method, default_split_config
+    ):
+        from repro.core.finalize import LAYERS
+
+        config = BoatConfig(
+            sample_size=500, bootstrap_repetitions=4, seed=3, trace=True
+        )
+        table = TestBuildIntegration()._table(small_schema)
+        result = boat_build(table, gini_method, default_split_config, config)
+        finalize = result.report.trace.find("finalize")
+        layers = [finalize.attributes[key] for key in LAYERS]
+        assert sum(layers) <= finalize.wall_seconds

@@ -79,11 +79,13 @@ class TestTupleStore:
         assert np.array_equal(store.read_all(), data)
 
     def test_replace_smaller_unspills(self, tmp_path, small_schema):
+        """Removing all but an in-budget remainder brings a spilled store
+        back into RAM."""
         data = simple_xy_data(small_schema, 100, seed=7)
         store = TupleStore(small_schema, memory_budget_rows=50, directory=tmp_path)
         store.append(data)
         assert store.spilled
-        store.replace(data[:20])
+        store.remove(data[20:])
         assert not store.spilled
         assert np.array_equal(store.read_all(), data[:20])
 
@@ -91,7 +93,8 @@ class TestTupleStore:
         data = simple_xy_data(small_schema, 30, seed=8)
         store = TupleStore(small_schema, memory_budget_rows=100, directory=tmp_path)
         store.append(data)
-        store.replace(data[5:10])
+        store.clear()
+        store.append(data[5:10])
         assert len(store) == 5
 
     def test_clear(self, tmp_path, small_schema):
@@ -131,7 +134,7 @@ class TestSpillRegressions:
 
     Each of these fails on the pre-fix code: read-only ``read_all``
     arrays, whole-store materialization in ``iter_batches``, and
-    over-budget ``replace`` batches kept in RAM.
+    over-budget contents kept in RAM after the store was emptied.
     """
 
     def test_spillfile_read_all_is_writable(self, tmp_path, small_schema):
@@ -197,8 +200,9 @@ class TestSpillRegressions:
         assert not store.spilled
         # Pre-fix: an in-memory store kept ANY replacement in RAM,
         # breaking the budget the moment a big family came back.
-        store.replace(data)
-        assert store.spilled, "over-budget replace must spill like append"
+        store.clear()
+        store.append(data)
+        assert store.spilled, "over-budget contents must spill"
         assert np.array_equal(store.read_all(), data)
 
     def test_replace_over_budget_on_spilled_store_stays_spilled(
@@ -208,7 +212,7 @@ class TestSpillRegressions:
         store = TupleStore(small_schema, memory_budget_rows=50, directory=tmp_path)
         store.append(data)
         assert store.spilled
-        store.replace(data[:150])
+        store.remove(data[150:])
         assert store.spilled
         assert np.array_equal(store.read_all(), data[:150])
 
@@ -227,7 +231,7 @@ class TestTupleStoreEdgeCases:
         store = TupleStore(small_schema, memory_budget_rows=20, directory=tmp_path)
         store.append(data)
         store.clear()
-        store.replace(data[:10])
+        store.append(data[:10])
         assert len(store) == 10
         assert np.array_equal(store.read_all(), data[:10])
 
@@ -236,7 +240,7 @@ class TestTupleStoreEdgeCases:
         store = TupleStore(small_schema, memory_budget_rows=40, directory=tmp_path)
         store.append(data)  # spill
         assert store.spilled
-        store.replace(data[:10])  # shrink back into memory
+        store.remove(data[10:])  # shrink back into memory
         assert not store.spilled
         store.append(data[10:90])  # regrow past the budget: spill again
         assert store.spilled
@@ -246,7 +250,7 @@ class TestTupleStoreEdgeCases:
         data = simple_xy_data(small_schema, 50, seed=20)
         store = TupleStore(small_schema, memory_budget_rows=10, directory=tmp_path)
         store.append(data)
-        store.replace(small_schema.empty(0))
+        store.remove(data)
         assert len(store) == 0
         assert not store.spilled
 
