@@ -74,7 +74,7 @@ def _build_flat(
     boat_config: BoatConfig,
     tracer,
 ):
-    from ..core import boat_build
+    from ..core.boat import boat_build, resume_build
 
     backend = args.backend
     if backend == "auto":
@@ -89,20 +89,8 @@ def _build_flat(
         table = DiskTable.open(
             args.table, io, simulated_mbps=args.simulate_io_mbps
         )
-    method = _method(args)
-    if args.resume is not None:
-        from ..recovery import resume_build
-
-        result = resume_build(
-            table, method, split_config, boat_config, tracer=tracer
-        )
-        print(
-            f"resumed from checkpoint {args.resume} "
-            f"({result.report.restored_units} checkpointed unit(s) restored)"
-        )
-        return result.tree
-    result = boat_build(table, method, split_config, boat_config, tracer=tracer)
-    return result.tree
+    entry = boat_build if args.resume is None else resume_build
+    return entry(table, _method(args), split_config, boat_config, tracer=tracer)
 
 
 def _build_sharded(
@@ -141,7 +129,7 @@ def _build_sharded(
                 table, method, split_config, boat_config, tracer=tracer
             )
             print(f"quest build over {table.n_shards} shard(s) (direct scan)")
-            return result.tree
+            return result
         if args.resume is not None:
             from ..shard import resume_sharded_build as entry
         else:
@@ -168,18 +156,13 @@ def _build_sharded(
             )
         report = result.shard_report
         scans = [stats.full_scans for stats in report.shard_io]
-        if report.resumed:
-            print(
-                f"resumed from checkpoint {boat_config.checkpoint_dir} "
-                f"({report.restored_units} checkpointed unit(s) restored)"
-            )
         print(
             f"sharded build: {report.n_shards} shard(s) via "
             f"{report.transport}, per-shard scans {scans}"
         )
         if report.failovers:
             print(f"elastic: {report.failovers} failover(s)")
-        return result.tree
+        return result
     finally:
         if table is not None:
             table.close()
@@ -290,10 +273,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
         print(f"I/O: {io}")
         print(f"forest written to {args.out}")
     else:
-        if sharded:
-            tree = _build_sharded(args, io, split_config, boat_config, tracer)
-        else:
-            tree = _build_flat(args, io, split_config, boat_config, tracer)
+        build = _build_sharded if sharded else _build_flat
+        result = build(args, io, split_config, boat_config, tracer)
+        if args.resume is not None:
+            print(
+                f"resumed from checkpoint {args.resume} "
+                f"({result.report.restored_units} checkpointed unit(s) restored)"
+            )
+        tree = result.tree
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(tree_to_json(tree, indent=2))
         print(tree_summary(tree))
@@ -380,7 +367,8 @@ def register(sub) -> None:
         help="with the sql backend, compute the cleanup scan's per-node "
         "statistics as grouped aggregation queries inside the database "
         "and export only held/family rows; a placement knob, never the "
-        "tree (ignored for non-SQL tables and checkpointed builds)",
+        "tree (ignored for non-SQL tables; refused with --checkpoint and "
+        "--resume, whose units need row-granular scan progress)",
     )
     build.add_argument(
         "--forest",
@@ -455,7 +443,9 @@ def register(sub) -> None:
         type=int,
         default=16,
         metavar="N",
-        help="cleanup-scan batches between checkpoints (default 16)",
+        help="cleanup-scan batches per checkpoint unit of a flat build "
+        "(default 16); sharded builds ignore it and checkpoint one unit "
+        "per dispatched shard work unit",
     )
     build.add_argument(
         "--scan-retries",

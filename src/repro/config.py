@@ -140,9 +140,11 @@ class BoatConfig:
             producing a byte-identical tree.  Like every other knob this
             never changes the output tree.
         checkpoint_every_batches: cleanup-scan batches per checkpoint
-            unit.  Smaller values shrink the re-read tail after a crash
-            at the cost of more checkpoint writes; checkpointing holds
-            at most one unit's rows in memory.
+            unit of a flat build.  Smaller values shrink the re-read tail
+            after a crash at the cost of more checkpoint writes;
+            checkpointing holds at most one unit's rows in memory.
+            Sharded builds ignore it: they checkpoint one unit per
+            dispatched shard work unit.
         scan_retries: absorb up to this many transient ``IOError``s per
             scan by re-reading from the last good offset with bounded
             exponential backoff (0 disables retrying; failures then

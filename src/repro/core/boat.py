@@ -21,8 +21,9 @@ so no temporary spill files survive a failed construction, and raw
 Crash safety: with ``BoatConfig.checkpoint_dir`` set the build persists
 its skeleton, then every ``checkpoint_every_batches`` cleanup batches
 the statistics of the rows just scanned as one checkpoint unit, and a
-killed build can be finished by :func:`repro.recovery.resume_build`,
-producing a byte-identical tree.
+killed build can be finished by :func:`resume_build` — the same driver
+with the skeleton read from the checkpoint — producing a byte-identical
+tree.
 ``BoatConfig.scan_retries`` additionally absorbs transient ``IOError``s
 mid-scan without failing the build at all.  See ``docs/RECOVERY.md``.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .state import (
     reject_float_moments,
     require_boat_method,
 )
+
+if TYPE_CHECKING:
+    from ..recovery.checkpoint import CheckpointManager, CheckpointState
 
 
 @dataclass
@@ -96,9 +100,10 @@ class BoatResult:
     report: BoatReport
 
 
-def _resolve_tracer(
+def resolve_tracer(
     tracer: Tracer | NullTracer | None, boat_config: BoatConfig, io: IOStats | None
 ) -> Tracer | NullTracer:
+    """``tracer``, else a fresh one when ``boat_config.trace`` is set."""
     if tracer is not None:
         return tracer
     if boat_config.trace:
@@ -130,7 +135,7 @@ class BuildHarness:
     ):
         self.report = report
         self.io = io
-        self.tracer = _resolve_tracer(tracer, boat_config, io)
+        self.tracer = resolve_tracer(tracer, boat_config, io)
         self._what = what
         self._held: list[BoatNode] = []
         self._t0 = 0.0
@@ -244,19 +249,147 @@ def boat_build(
         reject_float_moments(method, "a checkpointed build")
     if boat_config.sql_pushdown and sql_source(table) is not None:
         reject_float_moments(method, "the SQL aggregation pushdown")
-    # Recovery hooks (imported lazily: repro.recovery imports this module).
-    from ..recovery import CheckpointManager, build_digest, wrap_retry
-
-    rng = np.random.default_rng(boat_config.seed)
-    io = table.io_stats
-    run = BuildHarness(
-        BoatReport(mode="boat", table_size=len(table)),
-        io,
-        tracer,
-        boat_config,
-        "BOAT construction",
+    tracer = resolve_tracer(tracer, boat_config, table.io_stats)
+    source = TableSource(table, boat_config, tracer)
+    return BoatResult(
+        *drive(source, method, split_config, boat_config, spill_dir, tracer)
     )
-    tracer = run.tracer
+
+
+def resume_build(
+    table: Table,
+    method: BoatMethod,
+    split_config: SplitConfig | None = None,
+    boat_config: BoatConfig | None = None,
+    tracer: Tracer | NullTracer | None = None,
+) -> BoatResult:
+    """Finish a checkpointed build that a previous process started.
+
+    The same driver as :func:`boat_build`, with the skeleton read from
+    the checkpoint instead of sampled: the checkpointed units merge in
+    row order and only the rows no unit covers are scanned, so the tree
+    is *byte-identical* to the uninterrupted build's and the sample scan
+    is never repeated.  ``split_config``/``boat_config`` must define the
+    same tree as the crashed build's (``boat_config.checkpoint_dir``
+    names the checkpoint; :func:`repro.recovery.load_resumable` refuses
+    a mismatch); speed-only knobs (workers, batch size, retries) may
+    differ.  A sharded checkpoint is handed to
+    :func:`repro.shard.resume_sharded_build`.  ``report.sampling`` is
+    ``None`` — the sampling diagnostics died with the original process.
+    """
+    reject_float_moments(method, "resume_build")
+    split_config = split_config or SplitConfig()
+    boat_config = boat_config or BoatConfig()
+    from ..recovery import load_resumable
+
+    resume = load_resumable(table, split_config, boat_config, "resume_build")
+    if resume.sharded is not None:
+        from ..shard import resume_sharded_build
+
+        return resume_sharded_build(
+            table, method, split_config, boat_config, tracer=tracer
+        )
+    tracer = resolve_tracer(tracer, boat_config, table.io_stats)
+    source = TableSource(table, boat_config, tracer)
+    return BoatResult(
+        *drive(source, method, split_config, boat_config, None, tracer, resume)
+    )
+
+
+class TableSource:
+    """A flat table as :func:`drive` reads it: one reader draws the
+    sample (:func:`sample_table`) and counts the rows
+    (:func:`cleanup_scan`), through the configured scan retries."""
+
+    kind = mode = "boat"
+    manifest = None
+    span_attrs: dict = {}
+
+    def __init__(
+        self, table: Table, boat_config: BoatConfig, tracer: Tracer | NullTracer
+    ):
+        from ..recovery import wrap_retry
+
+        self.table = wrap_retry(table, boat_config, tracer)
+        self.boat_config = boat_config
+        self.tracer = tracer
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        config = self.boat_config
+        return sample_table(self.table, config.sample_size, rng, config.batch_rows)
+
+    def count(
+        self,
+        root: BoatNode,
+        pool: WorkerPool,
+        checkpoint: CheckpointManager | None,
+        resume: CheckpointState | None,
+    ) -> None:
+        """Count every row into ``root``, in global row order.
+
+        Each restored unit merges as it comes, one at a time; each
+        uncovered interval ``[lo, hi)`` is one :func:`cleanup_scan` —
+        the whole table, once, for a fresh build.  Held and family rows
+        thus concatenate in global row order.  With a ``checkpoint``, an
+        interval's batches are recorded as units, its last unit closed
+        when it ends: no unit spans another, and a crash during
+        finalization re-reads no rows.
+        """
+        from ..recovery.checkpoint import merge_shard_stats
+
+        n = len(self.table)
+        loads = {} if resume is None else {lo: f for lo, _, f in resume.restored}
+        gaps = dict([(0, n)] if resume is None else resume.uncovered)
+        config = self.boat_config
+        for lo in sorted([*loads, *gaps]):
+            if lo in loads:
+                merge_shard_stats(root, [loads[lo]()])
+                continue
+            cleanup_scan(
+                root,
+                self.table,
+                self.table.schema,
+                config.batch_rows,
+                pool,
+                tracer=self.tracer,
+                start_row=lo,
+                kernels=get_kernels(config.kernel_backend),
+                stop_row=None if gaps[lo] == n else gaps[lo],
+                sql_pushdown=config.sql_pushdown,
+                record=None if checkpoint is None else checkpoint.record_batch,
+            )
+            if checkpoint is not None:
+                checkpoint.close_unit()
+
+
+def drive(
+    source,
+    method: BoatMethod,
+    split_config: SplitConfig,
+    boat_config: BoatConfig,
+    spill_dir: str | None,
+    tracer: Tracer | NullTracer,
+    resume: CheckpointState | None = None,
+) -> tuple[DecisionTree, BoatReport]:
+    """The one BOAT driver: a skeleton, its uncovered rows counted, finalize.
+
+    The skeleton comes from the sampling phase, or from the checkpoint
+    ``resume`` loaded.  ``source`` reads the data: a :class:`TableSource`
+    or a sharded coordinator's session (``repro.shard.coordinator``),
+    which draw the sample (``sample(rng)``) and count the rows no
+    restored unit covers (``count(root, pool, checkpoint, resume)``).
+    ``tracer`` is resolved (:func:`resolve_tracer`).
+    """
+    # Recovery hooks (imported lazily: repro.recovery imports this module).
+    from ..recovery import CheckpointManager, build_digest, restore_skeleton
+
+    table = source.table
+    schema, n, io = table.schema, len(table), table.io_stats
+    name = f"{source.kind}_{'build' if resume is None else 'resume'}"
+    run = BuildHarness(
+        BoatReport(mode=source.mode, table_size=n), io, tracer, boat_config, name
+    )
+    attrs = dict(source.span_attrs)
     checkpoint = None
     if boat_config.checkpoint_dir:
         checkpoint = CheckpointManager(
@@ -264,80 +397,78 @@ def boat_build(
             boat_config.checkpoint_every_batches,
             tracer,
         )
-        checkpoint.begin(
-            table.schema,
-            len(table),
-            build_digest(table.schema, len(table), split_config, boat_config),
-        )
-    scan_table = wrap_retry(table, boat_config, tracer)
+        if resume is None:
+            digest = build_digest(schema, n, split_config, boat_config)
+            checkpoint.begin(schema, n, digest, sharded=source.manifest)
+        else:
+            checkpoint.restore_units([(lo, hi) for lo, hi, _ in resume.restored])
+            attrs["checkpoint"] = checkpoint.directory
 
-    with run.guard(), tracer.span("boat_build", table_size=len(table)):
-        # -- sampling phase --------------------------------------------------
+    # Failure or not, the guard frees the skeleton; checkpointed units
+    # stay on disk until finish() sweeps them, so a failed build stays
+    # resumable.
+    with run.guard(), tracer.span(name, table_size=n, **attrs) as build_span:
         run.start()
-        with tracer.span(
-            "sample", requested_rows=boat_config.sample_size
-        ) as sample_span:
-            sample = sample_table(
-                scan_table, boat_config.sample_size, rng, boat_config.batch_rows
+        if resume is None:
+            # -- sampling phase ----------------------------------------------
+            rng = np.random.default_rng(boat_config.seed)
+            with tracer.span(
+                "sample", requested_rows=boat_config.sample_size
+            ) as sample_span:
+                sample = source.sample(rng)
+                sample_span.set(sample_rows=len(sample))
+            if len(sample) >= n:
+                # D fits in the sample: the paper's in-memory switch applies
+                # at the root; run the reference builder directly.
+                with tracer.span("in_memory_build"):
+                    tree = build_reference_tree(sample, schema, method, split_config)
+                run.stop("in_memory_build")
+                run.report.mode = "in-memory"
+                return tree, run.done(checkpoint)
+        else:
+            # -- restore -----------------------------------------------------
+            root = run.hold(
+                restore_skeleton(resume.skeleton, schema, boat_config, io, spill_dir)
             )
-            sample_span.set(sample_rows=len(sample))
-        if len(sample) >= len(table):
-            # D fits in the sample: the paper's in-memory switch applies
-            # at the root; run the reference builder directly.
-            with tracer.span("in_memory_build"):
-                tree = build_reference_tree(
-                    sample, table.schema, method, split_config
-                )
-            run.stop("in_memory_build")
-            run.report.mode = "in-memory"
-            return BoatResult(tree=tree, report=run.done(checkpoint))
+            run.report.restored_units = len(resume.restored)
+            build_span.set(restored_units=len(resume.restored))
+            run.stop("restore")
         with WorkerPool(
             boat_config.n_workers, boat_config.parallel_backend, tracer=tracer
         ) as pool:
-            result = sampling_phase(
-                sample,
-                table.schema,
-                method,
-                split_config,
-                boat_config,
-                len(table),
-                rng,
-                spill_dir,
-                io,
-                pool=pool,
-                tracer=tracer,
-            )
-            root = run.hold(result.root)
-            run.report.sampling = result.report
-            run.stop("sampling")
-            if checkpoint is not None:
-                # The skeleton is immutable from here on; persisting it
-                # now makes every later crash resumable.
-                checkpoint.save_skeleton(root)
+            if resume is None:
+                result = sampling_phase(
+                    sample,
+                    schema,
+                    method,
+                    split_config,
+                    boat_config,
+                    n,
+                    rng,
+                    spill_dir,
+                    io,
+                    pool=pool,
+                    tracer=tracer,
+                )
+                root = run.hold(result.root)
+                run.report.sampling = result.report
+                run.stop("sampling")
+                if checkpoint is not None:
+                    # The skeleton is immutable from here on; persisting it
+                    # now makes every later crash resumable.
+                    checkpoint.save_skeleton(root)
 
             # -- cleanup scan ------------------------------------------------
             run.start()
-            cleanup_scan(
-                root,
-                scan_table,
-                table.schema,
-                boat_config.batch_rows,
-                pool,
-                tracer=tracer,
-                kernels=get_kernels(boat_config.kernel_backend),
-                sql_pushdown=boat_config.sql_pushdown,
-                record=None if checkpoint is None else checkpoint.record_batch,
-            )
+            source.count(root, pool, checkpoint, resume)
             run.stop("cleanup_scan")
-            if checkpoint is not None:
-                # The last unit: a crash during finalization resumes with
-                # zero scan rows to re-read.
-                checkpoint.close_unit()
 
             tree = run.finalize(
                 lambda timed: finalize_tree(
-                    root, table.schema, method, split_config, timed=timed
+                    root, schema, method, split_config, timed=timed
                 ),
                 pool,
             )
-    return BoatResult(tree=tree, report=run.done(checkpoint))
+    # Only a fully-successful build consumes its checkpoint; a build that
+    # failed (even after retries) stays resumable.
+    return tree, run.done(checkpoint)

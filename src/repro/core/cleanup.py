@@ -2,9 +2,9 @@
 
 The scan is a pure accumulation: every table batch is routed down the
 read-only skeleton and per-node statistics are incremented.  Every
-cleanup scan — a single-tree build, a resumed or sharded tail, the
-incremental rebuild, and the shared scans of forests and cross-validation
-— runs through one loop, :func:`_drive`:
+cleanup scan — a single-tree build, a resumed build's uncovered
+intervals, a shard's unit, the incremental rebuild, and the shared scans
+of forests and cross-validation — runs through one loop, :func:`_drive`:
 
 * the driving thread reads the table in scan order
   (:func:`~repro.storage.bounded_scan`), so one reader per table models
@@ -39,12 +39,12 @@ layer's compiled array kernel — ``tree.compile()`` /
 :class:`repro.serve.CompiledPredictor` — which carries no confidence
 intervals or stores.
 
-Recovery hooks: a resumed build passes ``start_row`` (the end of the
-checkpointed prefix — rows before it were already counted by the crashed
-process) and a checkpointed build passes ``record`` (called with each
-committed batch's deltas and the absolute row offset after it, in scan
-order, from the driving thread only — which is what makes checkpoint
-writes safe at any worker count).  ``progress`` (the offset only) serves
+Recovery hooks: a resumed build scans each row interval no checkpointed
+unit covers, passing ``start_row``/``stop_row`` (rows outside it were
+already counted by the crashed process), and a checkpointed build passes
+``record`` (called with each committed batch's deltas and its absolute
+rows ``[lo, hi)``, in scan order, from the driving thread only — which
+is what makes checkpoint writes safe at any worker count).  ``progress`` (the offset only) serves
 the shard chaos hooks.  All default to the plain full scan.
 
 Tracing: :func:`cleanup_scan` and :func:`shared_cleanup_scan` each open
@@ -69,9 +69,9 @@ from .terminals import NodeDelta, compile_skeleton
 #: Progress callback: absolute rows scanned so far (start_row included).
 ProgressFn = Callable[[int], None]
 
-#: Record callback: one committed batch's deltas and the absolute row
-#: offset after the batch.
-RecordFn = Callable[[list[NodeDelta], int], None]
+#: Record callback: one committed batch's deltas and its absolute rows
+#: ``[lo, hi)``.
+RecordFn = Callable[[list[NodeDelta], int, int], None]
 
 #: Applies one routed batch to a skeleton; runs on the driving thread.
 CommitFn = Callable[[], None]
@@ -114,7 +114,7 @@ def skeleton_sink(
 
         def commit() -> None:
             apply_batch_delta(deltas)
-            record(deltas, offset + len(batch))
+            record(deltas, offset, offset + len(batch))
 
         return commit
 

@@ -13,9 +13,11 @@ most expensive.  This package makes the two-scan build fault-tolerant:
   sampling phase, then completed cleanup *units* — the mergeable
   statistics of one row interval, every N batches of a flat scan or one
   per shard unit of a sharded build.
-* :func:`resume_build` restarts a killed build from its checkpoint,
-  re-reading only the tail of the cleanup scan past the last unit, and
-  produces a tree byte-identical to an uninterrupted build.
+* :func:`resume_build` restarts a killed build from its checkpoint:
+  the build's own driver with the skeleton read from disk, merging the
+  completed units and scanning only the rows none of them covers
+  (:func:`uncovered_intervals`), for a tree byte-identical to an
+  uninterrupted build's.
 
 See ``docs/RECOVERY.md`` for the checkpoint format and resume semantics.
 """
@@ -29,8 +31,9 @@ from .checkpoint import (
     load_unit_results,
     restore_skeleton,
     serialize_skeleton,
+    uncovered_intervals,
 )
-from .resume import resume_build
+from ..core.boat import resume_build
 from .retry import RetryingTable, RetryPolicy, wrap_retry
 
 __all__ = [
@@ -45,5 +48,6 @@ __all__ = [
     "restore_skeleton",
     "resume_build",
     "serialize_skeleton",
+    "uncovered_intervals",
     "wrap_retry",
 ]

@@ -38,7 +38,7 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable
 
@@ -50,7 +50,7 @@ from ..core.state import BoatNode, apply_batch_delta
 from ..core.terminals import NodeDelta
 from ..exceptions import RecoveryError, ShardError
 from ..observability import NULL_TRACER, NullTracer, Tracer
-from ..storage import IOStats, Schema, ShardedTable, Table
+from ..storage import IOStats, Schema, ShardedTable, ShardManifest, Table
 
 FORMAT_VERSION = 2
 META_FILE = "meta.json"
@@ -374,10 +374,21 @@ def _unit_deltas(
 
 @dataclass
 class CheckpointState:
-    """A loaded checkpoint: its metadata and (once saved) its skeleton."""
+    """A loaded checkpoint: its metadata and (once saved) its skeleton.
+
+    :func:`load_resumable` also fills in what a resume needs besides the
+    skeleton: the completed units as ``(lo, hi, load)`` triples sorted by
+    ``lo`` (:func:`load_unit_results`), and the ``uncovered`` row
+    intervals of ``[0, n)`` no unit covers — what the resume still has
+    to count.
+    """
 
     meta: dict
     skeleton: dict | None
+    restored: list[tuple[int, int, Callable[[], ShardScanResult]]] = field(
+        default_factory=list
+    )
+    uncovered: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def phase(self) -> str:
@@ -406,21 +417,19 @@ def _read_unit(path: str, lo: int, hi: int) -> ShardScanResult:
 
 
 def load_unit_results(
-    directory: str, table_rows: int, contiguous: bool = False
+    directory: str, table_rows: int
 ) -> list[tuple[int, int, Callable[[], ShardScanResult]]]:
     """A checkpoint's completed cleanup units, sorted by ``lo``.
 
     Returns ``(lo, hi, load)`` triples; ``load()`` unpickles the unit's
     :class:`ShardScanResult`, so a resume reads and merges one unit at a
-    time.  The one integrity check of both resumes runs on the index
-    before any unit is read: units must be non-empty, must not overlap
-    and must lie inside the ``table_rows``-row table; with
-    ``contiguous`` (a flat build records units in scan order) they must
-    also tile a prefix ``[0, hi)`` of it.  ``units.json`` is only ever
-    written *after* the unit files it references are fsynced, so a bad
-    index or a missing file means the directory was corrupted
-    out-of-band — refused, since dropping a unit would silently re-scan
-    or skip rows.
+    time.  The index is checked before any unit is read: units must be
+    non-empty, must not overlap and must lie inside the
+    ``table_rows``-row table.  Holes are fine — a resume counts them
+    (:func:`uncovered_intervals`).  ``units.json`` is only ever written
+    *after* the unit files it references are fsynced, so a bad index or
+    a missing file means the directory was corrupted out-of-band —
+    refused, since dropping a unit would silently re-scan or skip rows.
     """
     index_path = os.path.join(directory, UNITS_FILE)
     if not os.path.exists(index_path):
@@ -436,8 +445,6 @@ def load_unit_results(
             problem = f"is empty or exceeds the {table_rows}-row table"
         elif lo < cursor:
             problem = "overlaps the unit before it"
-        elif contiguous and lo > cursor:
-            problem = f"leaves rows [{cursor}, {lo}) uncovered"
         else:
             problem = None
         if problem is not None:
@@ -448,6 +455,21 @@ def load_unit_results(
         units.append((lo, hi, partial(_read_unit, path, lo, hi)))
         cursor = hi
     return units
+
+
+def uncovered_intervals(
+    covered: list[tuple[int, int]], total_rows: int
+) -> list[tuple[int, int]]:
+    """The complement of ``covered`` (sorted, non-overlapping) in [0, n)."""
+    gaps: list[tuple[int, int]] = []
+    cursor = 0
+    for lo, hi in sorted(covered):
+        if lo > cursor:
+            gaps.append((cursor, lo))
+        cursor = max(cursor, hi)
+    if cursor < total_rows:
+        gaps.append((cursor, total_rows))
+    return gaps
 
 
 def load_checkpoint(directory: str) -> CheckpointState:
@@ -477,10 +499,13 @@ def load_resumable(
 
     One set of guard rails for every resume: a checkpoint directory must
     be named, its kind must fit (a sharded checkpoint resumes over a
-    :class:`~repro.storage.ShardedTable`, and ``sharded=True`` — the
-    sharded resume — takes sharded checkpoints only), the build must be
-    unfinished with its skeleton saved, and the configuration digest
-    must match, so a resume never produces a hybrid of two trees.
+    :class:`~repro.storage.ShardedTable` with the recorded row count,
+    placement and schema digest, and ``sharded=True`` — the sharded
+    resume — takes sharded checkpoints only), the build must be
+    unfinished with its skeleton saved, the configuration digest must
+    match, so a resume never produces a hybrid of two trees, and the
+    unit index must be intact (:func:`load_unit_results`).  Returns the
+    state with its restored units and uncovered intervals filled in.
     ``entry`` names the resuming function in the errors.
     """
     directory = boat_config.checkpoint_dir
@@ -510,7 +535,8 @@ def load_resumable(
             "the build died before its skeleton was checkpointed (sampling "
             "phase); restart it from scratch — there is no state to save"
         )
-    digest = build_digest(table.schema, len(table), split_config, boat_config)
+    n = len(table)
+    digest = build_digest(table.schema, n, split_config, boat_config)
     recorded = state.meta.get("config_digest")
     if digest != recorded:
         raise RecoveryError(
@@ -519,21 +545,38 @@ def load_resumable(
             f"(checkpoint {recorded}, resume {digest}); resuming would not "
             "reproduce the original tree"
         )
+    if state.sharded is not None:
+        manifest = table.manifest
+        for key, value in (
+            ("total_rows", n),
+            ("placement", manifest.placement),
+            ("schema_digest", manifest.schema_digest),
+        ):
+            if state.sharded.get(key) != value:
+                raise RecoveryError(
+                    f"checkpoint {directory} records {key} "
+                    f"{state.sharded.get(key)!r}, but the sharded table has "
+                    f"{value!r}; resuming would merge statistics across tables"
+                )
+    state.restored = load_unit_results(directory, n)
+    state.uncovered = uncovered_intervals(
+        [(lo, hi) for lo, hi, _ in state.restored], n
+    )
     return state
 
 
 class CheckpointManager:
     """Owns one checkpoint directory for the lifetime of one build.
 
-    The driver calls, in order: :meth:`begin` (or :meth:`begin_sharded`)
-    before the sampling phase, :meth:`save_skeleton` once the skeleton
-    is fixed, then records completed cleanup units — a flat scan hands
-    every committed batch to :meth:`record_batch` and calls
-    :meth:`close_unit` at scan end, the sharded dispatcher calls
-    :meth:`checkpoint_unit` per unit — and :meth:`finish` on success,
-    which sweeps the units and marks the checkpoint complete.  A build
-    that dies anywhere in between leaves a directory
-    :func:`resume_build` can pick up.
+    The driver calls, in order: :meth:`begin` before the sampling phase
+    (a resume calls :meth:`restore_units` instead), :meth:`save_skeleton`
+    once the skeleton is fixed, then records completed cleanup units —
+    a flat scan hands every committed batch to :meth:`record_batch` and
+    calls :meth:`close_unit` at the end of each scanned interval, the
+    sharded dispatcher calls :meth:`checkpoint_unit` per unit — and
+    :meth:`finish` on success, which sweeps the units and marks the
+    checkpoint complete.  A build that dies anywhere in between leaves a
+    directory :func:`~repro.core.resume_build` can pick up.
     """
 
     def __init__(
@@ -550,9 +593,9 @@ class CheckpointManager:
         #: Completed cleanup units recorded so far, sorted.
         self._units: list[tuple[int, int]] = []
         #: A flat scan's committed batches not yet in a unit, and the
-        #: row offset after the last of them.
+        #: global rows ``[lo, hi)`` they cover.
         self._pending: list[list[NodeDelta]] = []
-        self._pending_end = 0
+        self._pending_lo = self._pending_hi = 0
 
     @property
     def units_dir(self) -> str:
@@ -566,8 +609,23 @@ class CheckpointManager:
         meta["phase"] = phase
         _atomic_write_json(self._meta_path(), meta)
 
-    def begin(self, schema: Schema, table_rows: int, config_digest: str) -> dict:
-        """Initialize (or reset) the directory for a fresh build."""
+    def begin(
+        self,
+        schema: Schema,
+        table_rows: int,
+        config_digest: str,
+        sharded: ShardManifest | None = None,
+    ) -> None:
+        """Initialize (or reset) the directory for a fresh build.
+
+        ``sharded`` is a sharded build's manifest.  The recorded sharded
+        metadata deliberately pins the placement, the total row count and
+        the schema digest but **not** the shard count or shard
+        boundaries: a checkpoint taken at K shards may be resumed at K'
+        after a :func:`repro.storage.reshard`, because completed cleanup
+        units are keyed by global row interval — which survives any range
+        re-partitioning — rather than by shard id.
+        """
         os.makedirs(self.units_dir, exist_ok=True)
         self._sweep()
         meta = {
@@ -577,8 +635,13 @@ class CheckpointManager:
             "table_rows": table_rows,
             "config_digest": config_digest,
         }
+        if sharded is not None:
+            meta["sharded"] = {
+                "placement": sharded.placement,
+                "total_rows": table_rows,
+                "schema_digest": sharded.schema_digest,
+            }
         _atomic_write_json(self._meta_path(), meta)
-        return meta
 
     def _sweep(self) -> None:
         """Remove the skeleton, the unit index and every unit file."""
@@ -591,32 +654,6 @@ class CheckpointManager:
             for name in os.listdir(self.units_dir):
                 if name.endswith(".pkl") or name.endswith(".tmp"):
                     os.remove(os.path.join(self.units_dir, name))
-
-    def begin_sharded(
-        self,
-        schema: Schema,
-        table_rows: int,
-        config_digest: str,
-        placement: str,
-        schema_digest: str,
-    ) -> dict:
-        """Initialize the directory for a fresh *sharded* build.
-
-        The recorded sharded metadata deliberately pins the placement,
-        the total row count and the schema digest but **not** the shard
-        count or shard boundaries: a checkpoint taken at K shards may be
-        resumed at K' after a :func:`repro.storage.reshard`, because
-        completed cleanup units are keyed by global row interval — which
-        survives any range re-partitioning — rather than by shard id.
-        """
-        meta = self.begin(schema, table_rows, config_digest)
-        meta["sharded"] = {
-            "placement": placement,
-            "total_rows": table_rows,
-            "schema_digest": schema_digest,
-        }
-        _atomic_write_json(self._meta_path(), meta)
-        return meta
 
     def checkpoint_unit(self, lo: int, hi: int, result: ShardScanResult) -> None:
         """Persist one completed cleanup unit (global rows ``[lo, hi)``).
@@ -651,29 +688,32 @@ class CheckpointManager:
         """Seed the in-memory unit list from a loaded checkpoint (resume)."""
         self._units = sorted((int(lo), int(hi)) for lo, hi in units)
 
-    def record_batch(self, deltas: list[NodeDelta], end: int) -> None:
+    def record_batch(self, deltas: list[NodeDelta], lo: int, hi: int) -> None:
         """Collect one committed batch of a flat cleanup scan.
 
-        ``end`` is the row offset after the batch.  Every
-        ``every_batches`` batches the collected deltas become one unit
-        (:meth:`close_unit`), so recording holds at most one unit's rows.
-        Called on the scan's driving thread, in scan order.
+        ``[lo, hi)`` are the batch's global rows.  A unit starts where
+        its first batch starts, and every ``every_batches`` batches the
+        collected deltas become one unit (:meth:`close_unit`), so
+        recording holds at most one unit's rows.  Called on the scan's
+        driving thread, in scan order.
         """
+        if not self._pending:
+            self._pending_lo = lo
         self._pending.append(deltas)
-        self._pending_end = end
+        self._pending_hi = hi
         if len(self._pending) >= self.every_batches:
             self.close_unit()
 
     def close_unit(self) -> None:
         """Checkpoint the batches recorded since the last unit as one unit.
 
-        A flat unit starts where the covered prefix ends.  Called at scan
-        end too, so a crash during finalization re-reads no rows.
+        Called at the end of every scanned interval too, so no unit spans
+        rows another unit covers, and a crash during finalization re-reads
+        no rows.
         """
         if not self._pending:
             return
-        lo = self._units[-1][1] if self._units else 0
-        hi = self._pending_end
+        lo, hi = self._pending_lo, self._pending_hi
         nodes = fold_deltas(self._pending)
         self._pending = []
         self.checkpoint_unit(lo, hi, ShardScanResult(0, hi - lo, nodes, IOStats()))

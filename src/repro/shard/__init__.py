@@ -12,7 +12,8 @@ Layout:
   distributed driver (byte-identical output; see ``docs/SHARDING.md``),
   and :func:`resume_sharded_build` for checkpointed coordinators
   (including resume at a different shard count after
-  :func:`repro.storage.reshard`); both share one cleanup-and-merge phase.
+  :func:`repro.storage.reshard`); both run one driver, the resume with
+  its skeleton read from the checkpoint.
 * :mod:`repro.shard.elastic` — elastic dispatch: replica failover,
   bounded retries, speculative re-execution of stragglers, and the
   work-unit planner.
@@ -40,12 +41,16 @@ from .elastic import (
     ElasticDispatcher,
     ElasticPolicy,
     WorkUnit,
-    uncovered_intervals,
     units_for_intervals,
     whole_shard_units,
 )
 from .testing import TRANSPORT_FAULT_KINDS, FaultyTransport
-from ..recovery.checkpoint import NodeShardStats, ShardScanResult, merge_shard_stats
+from ..recovery.checkpoint import (
+    NodeShardStats,
+    ShardScanResult,
+    merge_shard_stats,
+    uncovered_intervals,
+)
 from .stats import ShardVerdict, combine_verdicts, extract_shard_stats
 from .transport import (
     TRANSPORTS,

@@ -1,8 +1,9 @@
 """The sharded BOAT build coordinator.
 
-:func:`sharded_boat_build` reproduces :func:`repro.core.boat.boat_build`
-over a :class:`~repro.storage.ShardedTable`, phase by phase, with the two
-table scans distributed to the shards:
+:func:`sharded_boat_build` runs the one BOAT driver,
+:func:`repro.core.boat.drive`, over a :class:`~repro.storage.ShardedTable`
+with the two table scans distributed to the shards (the
+:class:`_ShardSession` source):
 
 1. **sample** — the coordinator makes the *identical* global index draw
    the single-table build would make
@@ -29,9 +30,10 @@ central sampling/finalization phases use the backend carried by
 ``method`` — both backends are bit-identical, so the distributed
 guarantee is unaffected by the switch.
 
-:func:`resume_sharded_build` restores a dead coordinator's skeleton and
-completed units, then runs the *same* cleanup-and-merge phase over the
-uncovered rows: a fresh build is a resume with nothing restored.
+:func:`resume_sharded_build` is the same driver with the skeleton read
+from a dead coordinator's checkpoint: it restores the completed units
+and dispatches only the uncovered rows; a fresh build is a resume with
+nothing restored.
 
 Failure hygiene matches the single-table driver: shard verdicts are ORed
 into a single clean :class:`~repro.exceptions.ShardError`, the master
@@ -47,36 +49,30 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
 from ..config import BoatConfig, SplitConfig
-from ..core.boat import BoatReport, BuildHarness
-from ..core.bootstrap import sampling_phase
-from ..core.finalize import finalize_tree
+from ..core.boat import BoatReport, drive, resolve_tracer
 from ..core.state import BoatNode, reject_float_moments
-from ..exceptions import RecoveryError, ShardError
+from ..exceptions import ShardError
 from ..observability import NullTracer, Tracer
 from ..parallel import WorkerPool
 from ..recovery.checkpoint import (
     CheckpointManager,
+    CheckpointState,
     ShardScanResult,
-    build_digest,
     load_resumable,
-    load_unit_results,
     merge_shard_stats,
-    restore_skeleton,
     serialize_skeleton,
 )
 from ..splits.methods import ImpuritySplitSelection
 from ..storage import IOStats, ShardedTable, choose_sample_indices
-from ..tree import DecisionTree, build_reference_tree
+from ..tree import DecisionTree
 from .elastic import (
     ElasticDispatcher,
     ElasticPolicy,
     WorkUnit,
-    uncovered_intervals,
     units_for_intervals,
     whole_shard_units,
 )
@@ -121,10 +117,12 @@ class ShardedBoatResult:
 
 
 class _ShardSession:
-    """One sharded driver's shard-side context, torn down on exit.
+    """The sharded source of :func:`repro.core.boat.drive`, torn down on exit.
 
-    Owns the :class:`ShardReport`, the shard offsets, the elastic policy,
-    the transport (closed on exit when built here from a name) and the
+    Draws the sample (:meth:`sample`) and counts the rows
+    (:meth:`count`) through elastic shard dispatch.  Owns the
+    :class:`ShardReport`, the shard offsets, the elastic policy, the
+    transport (closed on exit when built here from a name) and the
     coordinator's scratch directory (swept on exit).  :meth:`charge`
     folds per-shard worker I/O back into the experiment's counters three
     ways: into the experiment's shared instance (``full_scans`` zeroed —
@@ -133,6 +131,8 @@ class _ShardSession:
     private counters, and into the report's per-shard totals.
     """
 
+    kind, mode = "sharded", "boat-sharded"
+
     def __init__(
         self,
         table: ShardedTable,
@@ -140,10 +140,15 @@ class _ShardSession:
         spill_dir: str | None,
         elastic: ElasticPolicy | None,
         tracer: Tracer | NullTracer,
+        boat_config: BoatConfig,
+        shard_simulated_mbps: float | None,
     ):
-        manifest = table.manifest
+        manifest = self.manifest = table.manifest
         self.table = table
         self.tracer = tracer
+        self.boat_config = boat_config
+        self.shard_simulated_mbps = shard_simulated_mbps
+        self.span_attrs = {"shards": manifest.n_shards}
         self.policy = elastic if elastic is not None else ElasticPolicy()
         self.report = ShardReport(
             n_shards=manifest.n_shards,
@@ -215,6 +220,135 @@ class _ShardSession:
         if self.table.io_stats is not None:
             self.table.io_stats.record_full_scan()
 
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """The sampling-phase draw, executed shard-locally.
+
+        Consumes the shared RNG exactly as
+        :func:`repro.storage.sample_known_size` would (one global draw, or
+        none at all when the sample covers the table), so the downstream
+        bootstrap sees an identical RNG stream.
+        """
+        table, manifest = self.table, self.manifest
+        batch_rows, k = self.boat_config.batch_rows, self.boat_config.sample_size
+        if k <= 0:
+            return table.schema.empty(0)
+        chosen = choose_sample_indices(len(table), k, rng)
+        units = whole_shard_units(self.offsets)
+        requests = [
+            sample_request(
+                unit.shard_id,
+                (
+                    None
+                    if chosen is None
+                    else chosen[(chosen >= unit.lo) & (chosen < unit.hi)] - unit.lo
+                ),
+                batch_rows,
+                manifest.schema_digest,
+                manifest.shard_rows[unit.shard_id],
+            )
+            for unit in units
+        ]
+        parts = []
+        for response in self.dispatch(units, requests):
+            self.charge(response["shard_id"], len(response["rows"]), response["io"])
+            parts.append(response["rows"])
+        self.finish_phase()
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return table.schema.empty(0)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def count(
+        self,
+        root: BoatNode,
+        pool: WorkerPool,
+        checkpoint: CheckpointManager | None,
+        resume: CheckpointState | None,
+    ) -> None:
+        """Dispatch the rows no restored unit covers as work units; merge.
+
+        A fresh build dispatches whole-shard units; a resume, its
+        uncovered intervals cut at the *current* shard boundaries.  Ships
+        the skeleton to every unit, checkpoints each unit the moment it
+        wins (when ``checkpoint`` is set), charges each unit's I/O, then
+        merges the restored units (read one at a time as they merge) and
+        the fresh results into ``root`` in global row order — under range
+        placement exactly the flat scan order, so held and frontier rows
+        concatenate byte-identically.  A resume adds the unit count to
+        the ``shard_cleanup`` span and records a logical full scan only if
+        it restored no unit (otherwise the dead coordinator read part of
+        the table).
+        """
+        tracer, report, manifest = self.tracer, self.report, self.manifest
+        config = self.boat_config
+        restored = [] if resume is None else resume.restored
+        if resume is None:
+            units = whole_shard_units(self.offsets)
+        else:
+            units = units_for_intervals(resume.uncovered, self.offsets)
+            report.resumed = True
+            report.restored_units = len(restored)
+        n = len(self.table)
+        resumed = {"units": len(units)} if report.resumed else {}
+        with tracer.span("shard_cleanup", shards=manifest.n_shards, **resumed):
+            skeleton = serialize_skeleton(root)
+            requests = [
+                cleanup_request(
+                    unit.shard_id,
+                    skeleton,
+                    config,
+                    config.batch_rows,
+                    manifest.schema_digest,
+                    manifest.shard_rows[unit.shard_id],
+                    spill_dir=self.scratch,
+                    simulated_mbps=self.shard_simulated_mbps,
+                    start_row=unit.local_start,
+                    stop_row=unit.local_stop,
+                )
+                for unit in units
+            ]
+            on_result = None
+            if checkpoint is not None:
+
+                def on_result(index: int, response: dict) -> None:
+                    unit = units[index]
+                    checkpoint.checkpoint_unit(unit.lo, unit.hi, response["result"])
+
+            responses = self.dispatch(units, requests, on_result)
+            fresh: dict[int, ShardScanResult] = {}
+            for unit, response in zip(units, responses):
+                scan = response["result"]
+                self.charge(unit.shard_id, scan.rows_scanned, scan.io)
+                fresh[unit.lo] = scan
+            if not restored:
+                self.finish_phase()
+            loaders = {lo: load for lo, _, load in restored}
+            scanned = sum(hi - lo for lo, hi, _ in restored) + sum(
+                scan.rows_scanned for scan in fresh.values()
+            )
+            if scanned != n:
+                raise ShardError(
+                    f"shard units scanned {scanned} rows in total, expected {n}"
+                )
+            order = sorted([*loaders, *fresh])
+            nodes_merged = 0
+
+            def in_row_order():
+                # Restored units are read here, one at a time, as they merge.
+                nonlocal nodes_merged
+                for lo in order:
+                    scan = fresh.pop(lo) if lo in fresh else loaders[lo]()
+                    nodes_merged += len(scan.nodes)
+                    yield scan
+
+            with tracer.span("merge", shards=len(order)) as merge_span:
+                candidates = merge_shard_stats(root, in_row_order())
+                report.candidate_counts = {
+                    node_id: int(values.size)
+                    for node_id, values in candidates.items()
+                }
+                merge_span.set(nodes_merged=nodes_merged)
+
 
 def sharded_boat_build(
     table: ShardedTable,
@@ -252,103 +386,23 @@ def sharded_boat_build(
 
     When ``boat_config.checkpoint_dir`` is set, the build is crash-safe:
     the skeleton and every completed per-shard cleanup unit are persisted
-    as they land, and a SIGKILL'd coordinator finishes byte-identically
-    via :func:`resume_sharded_build` (or plain
-    :func:`repro.recovery.resume_build`, which delegates).
+    as they land (one unit per dispatched work unit;
+    ``checkpoint_every_batches`` does not apply), and a SIGKILL'd
+    coordinator finishes byte-identically via :func:`resume_sharded_build`
+    (or plain :func:`repro.recovery.resume_build`, which delegates).
     """
     reject_float_moments(method, "sharded_boat_build")
-    split_config = split_config or SplitConfig()
-    boat_config = boat_config or BoatConfig()
-    rng = np.random.default_rng(boat_config.seed)
-    schema = table.schema
-    manifest = table.manifest
-    n = len(table)
-    run = BuildHarness(
-        BoatReport(mode="boat-sharded", table_size=n),
-        table.io_stats,
+    return _build(
+        table,
+        method,
+        split_config or SplitConfig(),
+        boat_config or BoatConfig(),
+        spill_dir,
         tracer,
-        boat_config,
-        "sharded build",
+        transport,
+        shard_simulated_mbps,
+        elastic,
     )
-    tracer = run.tracer
-    manager: CheckpointManager | None = None
-    with _ShardSession(
-        table, transport, spill_dir, elastic, tracer
-    ) as session, run.guard(), tracer.span(
-        "sharded_build", table_size=n, shards=manifest.n_shards
-    ):
-        # -- sampling phase: distributed draw, central bootstrap -----------
-        run.start()
-        with tracer.span(
-            "sample", requested_rows=boat_config.sample_size
-        ) as sample_span:
-            sample = _distributed_sample(session, boat_config, rng)
-            sample_span.set(sample_rows=len(sample))
-        if len(sample) >= n:
-            with tracer.span("in_memory_build"):
-                tree = build_reference_tree(sample, schema, method, split_config)
-            run.stop("in_memory_build")
-            run.report.mode = "in-memory"
-            return ShardedBoatResult(tree, run.done(), session.report)
-        if boat_config.checkpoint_dir:
-            manager = CheckpointManager(
-                boat_config.checkpoint_dir,
-                boat_config.checkpoint_every_batches,
-                tracer,
-            )
-            manager.begin_sharded(
-                schema,
-                n,
-                build_digest(schema, n, split_config, boat_config),
-                manifest.placement,
-                manifest.schema_digest,
-            )
-        with WorkerPool(
-            boat_config.n_workers, boat_config.parallel_backend, tracer=tracer
-        ) as pool:
-            result = sampling_phase(
-                sample,
-                schema,
-                method,
-                split_config,
-                boat_config,
-                n,
-                rng,
-                spill_dir,
-                table.io_stats,
-                pool=pool,
-                tracer=tracer,
-            )
-            root = run.hold(result.root)
-            run.report.sampling = result.report
-            run.stop("sampling")
-            if manager is not None:
-                manager.save_skeleton(root)
-
-            # -- distributed cleanup scan + merge ----------------------------
-            run.start()
-            _sharded_cleanup(
-                session,
-                root,
-                serialize_skeleton(root),
-                whole_shard_units(session.offsets),
-                [],
-                boat_config,
-                manager,
-                shard_simulated_mbps,
-            )
-            run.stop("cleanup_scan")
-
-            # -- finalization (unchanged, exact) -----------------------------
-            tree = run.finalize(
-                lambda timed: finalize_tree(
-                    root, schema, method, split_config, timed=timed
-                ),
-                pool,
-            )
-    # Only a fully-successful build consumes its checkpoint; a build that
-    # failed (even after retries) stays resumable.
-    return ShardedBoatResult(tree, run.done(manager), session.report)
 
 
 def resume_sharded_build(
@@ -364,12 +418,11 @@ def resume_sharded_build(
 ) -> ShardedBoatResult:
     """Finish a checkpointed *sharded* build that a dead coordinator started.
 
-    The counterpart of :func:`repro.recovery.resume_build` for
-    :func:`sharded_boat_build` with ``BoatConfig.checkpoint_dir`` set.
-    Completed cleanup units are loaded from the checkpoint; only the
-    uncovered complement of the table — cut at the *current* shard
-    boundaries — is dispatched, through the same cleanup-and-merge phase
-    as the fresh build, so:
+    The same driver as :func:`sharded_boat_build`, with the skeleton read
+    from the checkpoint (:func:`repro.recovery.load_resumable`).
+    Completed cleanup units are restored; only the uncovered intervals of
+    the table — cut at the *current* shard boundaries — are dispatched,
+    so:
 
     * no already-counted row is scanned again (units are only
       checkpointed once fully scanned);
@@ -388,234 +441,43 @@ def resume_sharded_build(
     reject_float_moments(method, "resume_sharded_build")
     split_config = split_config or SplitConfig()
     boat_config = boat_config or BoatConfig()
-    state = load_resumable(
+    resume = load_resumable(
         table, split_config, boat_config, "resume_sharded_build", sharded=True
     )
-    schema = table.schema
-    manifest = table.manifest
-    n = len(table)
-    sharded_meta = state.sharded
-    if sharded_meta.get("total_rows") != n:
-        raise RecoveryError(
-            f"checkpoint covers a {sharded_meta.get('total_rows')}-row table "
-            f"but the sharded table holds {n} rows"
-        )
-    if sharded_meta.get("placement") != manifest.placement:
-        raise RecoveryError(
-            f"checkpoint was taken under {sharded_meta.get('placement')!r} "
-            f"placement; this table uses {manifest.placement!r}"
-        )
-    if sharded_meta.get("schema_digest") != manifest.schema_digest:
-        raise RecoveryError(
-            "schema digest mismatch between the checkpoint and the sharded "
-            "table; resuming would merge statistics across schemas"
-        )
-    restored = load_unit_results(boat_config.checkpoint_dir, n)
-
-    run = BuildHarness(
-        BoatReport(mode="boat-sharded", table_size=n),
-        table.io_stats,
+    return _build(
+        table,
+        method,
+        split_config,
+        boat_config,
+        spill_dir,
         tracer,
-        boat_config,
-        "sharded resume",
+        transport,
+        shard_simulated_mbps,
+        elastic,
+        resume,
     )
-    tracer = run.tracer
-    manager = CheckpointManager(
-        boat_config.checkpoint_dir, boat_config.checkpoint_every_batches, tracer
-    )
-    covered = [(lo, hi) for lo, hi, _ in restored]
-    manager.restore_units(covered)
+
+
+def _build(
+    table: ShardedTable,
+    method: ImpuritySplitSelection,
+    split_config: SplitConfig,
+    boat_config: BoatConfig,
+    spill_dir: str | None,
+    tracer: Tracer | NullTracer | None,
+    transport: ShardTransport | str,
+    shard_simulated_mbps: float | None,
+    elastic: ElasticPolicy | None,
+    resume: CheckpointState | None = None,
+) -> ShardedBoatResult:
+    """Both sharded entry points: the one driver over a shard session."""
+    tracer = resolve_tracer(tracer, boat_config, table.io_stats)
     with _ShardSession(
-        table, transport, spill_dir, elastic, tracer
-    ) as session, run.guard(), tracer.span(
-        "sharded_resume",
-        table_size=n,
-        shards=manifest.n_shards,
-        checkpoint=manager.directory,
-    ) as resume_span:
-        session.report.resumed = True
-        session.report.restored_units = run.report.restored_units = len(restored)
-        # -- restore --------------------------------------------------------
-        run.start()
-        root = run.hold(
-            restore_skeleton(
-                state.skeleton,
-                schema,
-                boat_config,
-                table.io_stats,
-                spill_dir=session.scratch,
-            )
+        table, transport, spill_dir, elastic, tracer, boat_config, shard_simulated_mbps
+    ) as session:
+        tree, report = drive(
+            session, method, split_config, boat_config, spill_dir, tracer, resume
         )
-        units = units_for_intervals(
-            uncovered_intervals(covered, n), session.offsets
-        )
-        resume_span.set(restored_units=len(restored), fresh_units=len(units))
-        run.stop("restore")
-
-        # -- elastic cleanup of the uncovered complement --------------------
-        run.start()
-        _sharded_cleanup(
-            session,
-            root,
-            state.skeleton,
-            units,
-            restored,
-            boat_config,
-            manager,
-            shard_simulated_mbps,
-        )
-        run.stop("cleanup_scan")
-
-        # -- finalization (unchanged, exact) --------------------------------
-        tree = run.finalize(
-            lambda timed: finalize_tree(root, schema, method, split_config, timed=timed)
-        )
-    return ShardedBoatResult(tree, run.done(manager), session.report)
+    return ShardedBoatResult(tree, report, session.report)
 
 
-def _sharded_cleanup(
-    session: _ShardSession,
-    root: BoatNode,
-    skeleton: dict,
-    units: list[WorkUnit],
-    restored: list[tuple[int, int, Callable[[], ShardScanResult]]],
-    boat_config: BoatConfig,
-    checkpoint: CheckpointManager | None,
-    shard_simulated_mbps: float | None,
-) -> None:
-    """The cleanup phase of both sharded drivers: scan ``units``, merge.
-
-    Ships ``skeleton`` to every unit, checkpoints each unit the moment it
-    wins (when ``checkpoint`` is set), charges each unit's I/O, then
-    merges the ``restored`` units (``(lo, hi, load)`` triples, read one
-    at a time as they merge) and the fresh results into ``root`` in
-    global row order — under range placement exactly the flat scan
-    order, so held and frontier rows concatenate byte-identically.  A
-    fresh build passes whole-shard units and nothing restored; a resume
-    passes the uncovered complement of its checkpoint and the units it
-    restored, adds the unit count to the ``shard_cleanup`` span, and
-    records a logical full scan only if it restored no unit (otherwise
-    the dead coordinator read part of the table).
-    """
-    table, tracer, report = session.table, session.tracer, session.report
-    manifest = table.manifest
-    n = len(table)
-    resumed = {"units": len(units)} if report.resumed else {}
-    with tracer.span("shard_cleanup", shards=manifest.n_shards, **resumed):
-        requests = [
-            cleanup_request_for_unit(
-                unit,
-                skeleton,
-                boat_config,
-                manifest,
-                session.scratch,
-                shard_simulated_mbps,
-            )
-            for unit in units
-        ]
-        on_result = None
-        if checkpoint is not None:
-
-            def on_result(index: int, response: dict) -> None:
-                unit = units[index]
-                checkpoint.checkpoint_unit(unit.lo, unit.hi, response["result"])
-
-        responses = session.dispatch(units, requests, on_result)
-        fresh: dict[int, ShardScanResult] = {}
-        for unit, response in zip(units, responses):
-            scan = response["result"]
-            session.charge(unit.shard_id, scan.rows_scanned, scan.io)
-            fresh[unit.lo] = scan
-        if not restored:
-            session.finish_phase()
-        loaders = {lo: load for lo, _, load in restored}
-        scanned = sum(hi - lo for lo, hi, _ in restored) + sum(
-            scan.rows_scanned for scan in fresh.values()
-        )
-        if scanned != n:
-            raise ShardError(
-                f"shard units scanned {scanned} rows in total, expected {n}"
-            )
-        order = sorted([*loaders, *fresh])
-        nodes_merged = 0
-
-        def in_row_order():
-            # Restored units are read here, one at a time, as they merge.
-            nonlocal nodes_merged
-            for lo in order:
-                scan = fresh.pop(lo) if lo in fresh else loaders[lo]()
-                nodes_merged += len(scan.nodes)
-                yield scan
-
-        with tracer.span("merge", shards=len(order)) as merge_span:
-            candidates = merge_shard_stats(root, in_row_order())
-            report.candidate_counts = {
-                node_id: int(values.size)
-                for node_id, values in candidates.items()
-            }
-            merge_span.set(nodes_merged=nodes_merged)
-
-
-def cleanup_request_for_unit(
-    unit: WorkUnit,
-    skeleton: dict,
-    boat_config: BoatConfig,
-    manifest,
-    scratch: str,
-    shard_simulated_mbps: float | None,
-) -> dict:
-    """The cleanup request carrying one unit's shard-local row bounds."""
-    return cleanup_request(
-        unit.shard_id,
-        skeleton,
-        boat_config,
-        boat_config.batch_rows,
-        manifest.schema_digest,
-        manifest.shard_rows[unit.shard_id],
-        spill_dir=scratch,
-        simulated_mbps=shard_simulated_mbps,
-        start_row=unit.local_start,
-        stop_row=unit.local_stop,
-    )
-
-
-def _distributed_sample(
-    session: _ShardSession, boat_config: BoatConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """The sampling-phase draw, executed shard-locally.
-
-    Consumes the shared RNG exactly as :func:`repro.storage.sample_known_size`
-    would (one global draw, or none at all when the sample covers the
-    table), so the downstream bootstrap sees an identical RNG stream.
-    """
-    table = session.table
-    k = boat_config.sample_size
-    n = len(table)
-    manifest = table.manifest
-    if k <= 0:
-        return table.schema.empty(0)
-    chosen = choose_sample_indices(n, k, rng)
-    units = whole_shard_units(session.offsets)
-    requests = [
-        sample_request(
-            unit.shard_id,
-            (
-                None
-                if chosen is None
-                else chosen[(chosen >= unit.lo) & (chosen < unit.hi)] - unit.lo
-            ),
-            boat_config.batch_rows,
-            manifest.schema_digest,
-            manifest.shard_rows[unit.shard_id],
-        )
-        for unit in units
-    ]
-    parts = []
-    for response in session.dispatch(units, requests):
-        session.charge(response["shard_id"], len(response["rows"]), response["io"])
-        parts.append(response["rows"])
-    session.finish_phase()
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return table.schema.empty(0)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)

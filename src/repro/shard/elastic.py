@@ -30,7 +30,8 @@ Three capabilities, all driven by :class:`ElasticDispatcher`:
 * **Work units** — dispatch operates on :class:`WorkUnit`\\ s: a global
   row interval ``[lo, hi)`` mapped onto one shard's local row range.  A
   fresh build uses whole-shard units; a resumed build dispatches only
-  the *uncovered complement* of its checkpoint, intersected with the
+  the *uncovered complement* of its checkpoint
+  (:func:`repro.recovery.uncovered_intervals`), intersected with the
   current shard boundaries — which is what makes a checkpoint taken at
   K shards resumable at K' after :func:`repro.storage.reshard`
   (:func:`~repro.shard.coordinator.resume_sharded_build`).
@@ -128,21 +129,6 @@ def whole_shard_units(offsets: list[int]) -> list[WorkUnit]:
         WorkUnit(shard_id=i, lo=offsets[i], hi=offsets[i + 1])
         for i in range(len(offsets) - 1)
     ]
-
-
-def uncovered_intervals(
-    covered: list[tuple[int, int]], total_rows: int
-) -> list[tuple[int, int]]:
-    """The complement of ``covered`` (sorted, non-overlapping) in [0, n)."""
-    gaps: list[tuple[int, int]] = []
-    cursor = 0
-    for lo, hi in sorted(covered):
-        if lo > cursor:
-            gaps.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < total_rows:
-        gaps.append((cursor, total_rows))
-    return gaps
 
 
 def units_for_intervals(

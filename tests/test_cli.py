@@ -81,6 +81,25 @@ class TestBuild:
         assert "QUEST" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    def test_sql_pushdown_refuses_checkpoints(
+        self, generated_table, tmp_path, capsys, flag
+    ):
+        """Even over a flat ``.tbl``, where the pushdown itself would not
+        apply, ``--sql-pushdown`` with a checkpoint is refused: a clean
+        error, exit 1 (``test_sql_differential`` covers a ``.db``)."""
+        ckpt = tmp_path / "ckpt"
+        out = tmp_path / "o.json"
+        code = main(
+            ["build", generated_table, str(out), "--sql-pushdown", flag, str(ckpt)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: sql_pushdown cannot be combined with checkpoint_dir"
+        )
+        assert not ckpt.exists() and not out.exists()
+
     def test_missing_table_errors(self, tmp_path, capsys):
         code = main(["build", str(tmp_path / "nope.tbl"), str(tmp_path / "o.json")])
         assert code == 1

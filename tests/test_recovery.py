@@ -2,17 +2,20 @@
 
 The contract under test: a checkpointed build that is killed mid-cleanup
 and resumed produces a tree *byte-identical* (same serialized JSON) to
-the uninterrupted build's, at any worker count, re-reading only the tail
-of the cleanup scan past the last checkpoint; and a scan wrapped in
+the uninterrupted build's, at any worker count, re-reading only the rows
+no checkpointed unit covers (holes in the unit index included); and a
+scan wrapped in
 :class:`RetryingTable` absorbs transient I/O errors without changing the
 output at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from repro.recovery import (
     load_unit_results,
     restore_skeleton,
     resume_build,
+    uncovered_intervals,
 )
 from repro.recovery.checkpoint import merge_shard_stats
 from repro.splits import ImpuritySplitSelection
@@ -360,12 +364,12 @@ class TestCrashAndResume:
         config = recovery_config(tmp_path)
         crash_mid_cleanup(disk_table, gini, split_config, config)
 
-        import repro.recovery.resume as resume_module
+        import repro.core.boat as boat_module
 
         def dying_finalize(*args, **kwargs):
             raise OSError(5, "injected crash during finalization")
 
-        monkeypatch.setattr(resume_module, "finalize_tree", dying_finalize)
+        monkeypatch.setattr(boat_module, "finalize_tree", dying_finalize)
         with pytest.raises(StorageError, match="finalization"):
             resume_build(disk_table, gini, split_config, config)
         monkeypatch.undo()
@@ -465,6 +469,88 @@ class TestCrashAndResume:
         assert tree_to_json(result.tree) == expected
 
 
+class TestHoles:
+    """A unit index with holes resumes: an uncovered row is one nothing
+    has counted yet, so the resume scans it in row order."""
+
+    @pytest.mark.parametrize("edit", ["first_not_at_zero", "hole"])
+    def test_resume_counts_the_uncovered_rows(
+        self, disk_table, gini, split_config, tmp_path, monkeypatch, edit
+    ):
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        ckpt = config.checkpoint_dir
+        index_path = os.path.join(ckpt, "units.json")
+        with open(index_path) as fh:
+            index = json.load(fh)
+        units = index["units"]
+        assert len(units) >= 3
+        del units[0 if edit == "first_not_at_zero" else 1]
+        with open(index_path, "w") as fh:
+            json.dump(index, fh)
+        uncovered = N_ROWS - sum(hi - lo for lo, hi in units)
+        assert uncovered_intervals(units, N_ROWS)[0][0] == (
+            0 if edit == "first_not_at_zero" else units[0][1]
+        )
+        # 200-row batches leave a partial unit at the end of each hole,
+        # which must be closed there, not merged into the tail's unit.
+        config = dataclasses.replace(config, batch_rows=200)
+        twin = dataclasses.replace(config, checkpoint_dir=str(tmp_path / "twin"))
+        shutil.copytree(ckpt, twin.checkpoint_dir)
+
+        result = resume_build(disk_table, gini, split_config, config)
+        digest = hashlib.sha256(tree_to_json(result.tree).encode()).hexdigest()
+        assert digest == BASELINE_SHA256
+        # DiskTable stops natively at a hole's end, so the resume reads
+        # exactly the uncovered rows.  (A table without a native
+        # ``stop_row`` would over-read at most one batch per hole.)
+        assert result.report.io["cleanup_scan"].tuples_read == uncovered
+
+        # A resume that dies in finalize has checkpointed every interval
+        # it scanned: the index then tiles [0, n), and the next resume
+        # re-reads nothing.
+        import repro.core.boat as boat_module
+
+        def dying_finalize(*args, **kwargs):
+            raise OSError(5, "injected crash during finalization")
+
+        monkeypatch.setattr(boat_module, "finalize_tree", dying_finalize)
+        with pytest.raises(StorageError, match="finalization"):
+            resume_build(disk_table, gini, split_config, twin)
+        monkeypatch.undo()
+        assert uncovered_intervals(unit_index(twin.checkpoint_dir), N_ROWS) == []
+        result = resume_build(disk_table, gini, split_config, twin)
+        assert result.report.io["cleanup_scan"].tuples_read == 0
+        digest = hashlib.sha256(tree_to_json(result.tree).encode()).hexdigest()
+        assert digest == BASELINE_SHA256
+
+    def test_units_start_at_their_first_batch(
+        self, disk_table, gini, split_config, tmp_path
+    ):
+        """A scan that starts after restored units, past a hole, writes
+        units whose ``lo`` is where their first batch starts."""
+        config = recovery_config(tmp_path)
+        crash_mid_cleanup(disk_table, gini, split_config, config)
+        skeleton = load_checkpoint(config.checkpoint_dir).skeleton
+        root = restore_skeleton(skeleton, disk_table.schema, config, None)
+        ckpt = str(tmp_path / "writer")
+        manager = CheckpointManager(ckpt, every_batches=2)
+        manager.begin(disk_table.schema, N_ROWS, "digest")
+        manager.restore_units([(0, 1000)])
+        cleanup_scan(
+            root,
+            disk_table,
+            disk_table.schema,
+            batch_rows=256,
+            start_row=1500,
+            stop_row=2500,
+            record=manager.record_batch,
+        )
+        manager.close_unit()
+        root.release()
+        assert unit_index(ckpt) == [[0, 1000], [1500, 2012], [2012, 2500]]
+
+
 class TestKillAndResume:
     """A real SIGKILL mid-cleanup, then a CLI ``--resume`` of the corpse."""
 
@@ -561,7 +647,7 @@ class TestUnitFiles:
         crash_mid_cleanup(disk_table, gini, split_config, config)
         ckpt = config.checkpoint_dir
         skeleton = load_checkpoint(ckpt).skeleton
-        units = load_unit_results(ckpt, len(disk_table), contiguous=True)
+        units = load_unit_results(ckpt, len(disk_table))
         covered = units[-1][1]
         merged = restore_skeleton(skeleton, disk_table.schema, config, None)
         merge_shard_stats(merged, (load() for _, _, load in units))
@@ -660,9 +746,8 @@ class TestResumeGuards:
         with pytest.raises(RecoveryError, match="digest"):
             resume_build(disk_table, gini, drifted_split, config)
 
-    @pytest.mark.parametrize("edit", ["first_not_at_zero", "hole", "overlap"])
-    def test_flat_unit_index_must_tile_a_prefix(
-        self, disk_table, gini, split_config, tmp_path, edit
+    def test_overlapping_units_refused(
+        self, disk_table, gini, split_config, tmp_path
     ):
         config = recovery_config(tmp_path)
         crash_mid_cleanup(disk_table, gini, split_config, config)
@@ -670,16 +755,11 @@ class TestResumeGuards:
         with open(index_path) as fh:
             index = json.load(fh)
         units = index["units"]
-        assert len(units) >= 3
-        if edit == "first_not_at_zero":
-            del units[0]
-        elif edit == "hole":
-            del units[1]
-        else:
-            units.append([units[0][0], units[1][1] + 1])
+        assert len(units) >= 2
+        units.append([units[0][0], units[1][1] + 1])
         with open(index_path, "w") as fh:
             json.dump(index, fh)
-        with pytest.raises(RecoveryError, match="uncovered|overlaps"):
+        with pytest.raises(RecoveryError, match="overlaps"):
             resume_build(disk_table, gini, split_config, config)
 
     def test_older_format_version_refused(
